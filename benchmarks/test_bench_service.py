@@ -3,10 +3,13 @@
 Acceptance pin for the serving layer: a ``/verify`` of a scenario already
 in the service's result store -- full HTTP round trip, PoW ticket check,
 transcript signing, ledger append included -- must beat the cold request
-(same scenario, store empty) by at least 10x.  The warm path trades the
-whole pipeline execution for a store read, so the remaining cost is
-protocol overhead; if the speedup collapses, the serving layer started
-recomputing or the store lookup regressed.
+(same scenario, store empty, module-level simulation caches dropped) by
+at least 10x.  The warm path trades the whole pipeline execution for a
+store read, so the remaining cost is protocol overhead; if the speedup
+collapses, the serving layer started recomputing or the store lookup
+regressed.  The cold request starts from empty M0-window, background-
+template and sequence caches so it executes the whole pipeline no matter
+which tests ran earlier in the same process.
 
 Both requests run over a real localhost server through the stdlib
 client, exactly like production traffic.
@@ -19,8 +22,11 @@ import time
 
 from record import record_benchmark
 
+from repro.core.lfsr import clear_sequence_cache
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, build_server
+from repro.soc.chip import clear_background_template_cache
+from repro.soc.cpu import clear_m0_window_cache
 
 SCENARIO = "fig5/chip1-active"
 OVERRIDES = {"quick": True}
@@ -42,6 +48,9 @@ def test_bench_warm_verify_beats_cold(tmp_path, report):
             server.url, client_id="bench@local", difficulty=DIFFICULTY
         )
 
+        clear_m0_window_cache()
+        clear_background_template_cache()
+        clear_sequence_cache()
         start = time.perf_counter()
         cold = client.verify(scenario=SCENARIO, overrides=OVERRIDES)
         cold_s = time.perf_counter() - start

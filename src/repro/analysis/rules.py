@@ -258,7 +258,16 @@ class DeterminismRule(Rule):
 
 #: Module keys (or directory prefixes) on the measured hot path.
 _HOT_PREFIXES = ("detection/", "power/")
-_HOT_MODULES = {"soc/chip.py", "soc/cpu.py"}
+_HOT_MODULES = {
+    "soc/chip.py",
+    "soc/cpu.py",
+    # closed-form periodic watermark activity
+    "core/architectures.py",
+    "core/clock_modulation.py",
+    "core/lfsr.py",
+    "core/load_circuit.py",
+    "core/wgc.py",
+}
 
 #: Identifier words that mark a loop as iterating per cycle/trial.
 _HOT_WORDS = {
@@ -308,7 +317,8 @@ class HotLoopRule(Rule):
     rationale = (
         "The north star is trace synthesis and detection as fast as the "
         "hardware allows; a Python-level loop over cycles/trials in "
-        "detection/, power/, soc/chip.py or soc/cpu.py reintroduces the "
+        "detection/, power/, soc/chip.py, soc/cpu.py or the closed-form "
+        "watermark modules of core/ reintroduces the "
         "O(n) interpreter overhead the batched engines removed.  Golden "
         "reference paths stay, explicitly pragma'd."
     )

@@ -12,6 +12,10 @@ detector and the area analysis treat them interchangeably:
 
 ``step()``
     advance one cycle, returning the WMARK bit and per-group activity;
+``periodic_activity()``
+    exact per-cycle activity over one watermark period, derived in closed
+    form from the WMARK state sequence (``stepped_periodic_activity()``,
+    the ``step()`` loop, is its golden reference);
 ``activity_traces(num_cycles)``
     exact per-cycle activity for a long run, computed from one watermark
     period and tiled (the circuits are strictly periodic);
@@ -71,6 +75,10 @@ class WatermarkArchitecture(abc.ABC):
     def _load_reset(self) -> None:
         """Reset the power-pattern producer."""
 
+    @abc.abstractmethod
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`_load_step` over consecutive cycles from reset."""
+
     @property
     @abc.abstractmethod
     def added_register_count(self) -> int:
@@ -126,38 +134,57 @@ class WatermarkArchitecture(abc.ABC):
         """Exact per-cycle activity over one full watermark period.
 
         The watermark circuits are strictly periodic with the sequence
-        period, so one period fully characterises them.  The cycle-accurate
-        step loop therefore runs at most once per architecture instance
-        (the circuit configuration is fixed at construction): the result is
-        cached and later calls -- including every trace synthesis through
-        :meth:`power_template` -- are pure array work.  Callers receive
+        period, so one period fully characterises them.  Because WMARK is
+        only ANDed into existing enables, every cycle's toggle counts are a
+        closed-form function of the generator's state sequence: the WGC
+        trace comes from the GF(2)-linear state sequence, the load trace
+        from the array forms of the load components driven by the WMARK
+        bits.  The result is bit-identical to
+        :meth:`stepped_periodic_activity`, the cycle-accurate golden
+        reference, and is cached per architecture instance (the circuit
+        configuration is fixed at construction).  Callers receive
         independent trace copies, so mutating a returned trace cannot
-        corrupt the cache.  Pass ``use_cache=False`` to force a fresh
-        cycle-accurate run.
+        corrupt the cache.  Pass ``use_cache=False`` to bypass the cache.
         """
         if use_cache and self._periodic_activity_cache is not None:
             return {
                 key: _copy_activity_trace(trace)
                 for key, trace in self._periodic_activity_cache.items()
             }
-        self.reset()
         period = self.sequence_period
-        wgc_records = []
-        load_records = []
-        for _ in range(period):
-            activity = self.step()
-            wgc_records.append(activity["wgc"])
-            load_records.append(activity["load"])
-        self.reset()
-        traces = {
-            "wgc": ActivityTrace.from_records(f"{self.name}/wgc", wgc_records),
-            "load": ActivityTrace.from_records(f"{self.name}/load", load_records),
-        }
+        # The load sees the registered WMARK, i.e. the output bit of the
+        # state the WGC leaves in each cycle: the sequence from reset.
+        wgc = self.wgc.activity_trace(period)
+        load = self._load_activity(self.sequence(period))
+        wgc.name = f"{self.name}/wgc"
+        load.name = f"{self.name}/load"
+        traces = {"wgc": wgc, "load": load}
         if use_cache:
             self._periodic_activity_cache = {
                 key: _copy_activity_trace(trace) for key, trace in traces.items()
             }
         return traces
+
+    def stepped_periodic_activity(self) -> Dict[str, ActivityTrace]:
+        """One period of activity by cycle-accurate stepping (golden reference).
+
+        The equivalence suite pins :meth:`periodic_activity` to this bit
+        for bit; nothing else calls it.
+        """
+        self.reset()
+        period = self.sequence_period
+        wgc_records = []
+        load_records = []
+        # repro-lint: allow[HOT001] golden reference path: the step loop the closed-form periodic_activity is pinned against
+        for _ in range(period):
+            activity = self.step()
+            wgc_records.append(activity["wgc"])
+            load_records.append(activity["load"])
+        self.reset()
+        return {
+            "wgc": ActivityTrace.from_records(f"{self.name}/wgc", wgc_records),
+            "load": ActivityTrace.from_records(f"{self.name}/load", load_records),
+        }
 
     def activity_traces(self, num_cycles: int) -> Dict[str, ActivityTrace]:
         """Exact activity traces over ``num_cycles`` cycles (tiled periods)."""
@@ -265,6 +292,9 @@ class BaselineWatermark(WatermarkArchitecture):
     def _load_reset(self) -> None:
         self.load.reset()
 
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        return self.load.activity_trace(wmark)
+
     @property
     def added_register_count(self) -> int:
         return self.load.register_count
@@ -329,6 +359,9 @@ class ClockModulationWatermark(WatermarkArchitecture):
 
     def _load_reset(self) -> None:
         self.modulated_block.reset()
+
+    def _load_activity(self, wmark: np.ndarray) -> ActivityTrace:
+        return self.modulated_block.activity_trace(wmark)
 
     @property
     def added_register_count(self) -> int:

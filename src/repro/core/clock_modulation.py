@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
+import numpy as np
+
+from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
 from repro.rtl.clock_tree import ClockTree
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock, RegisterBank
 
@@ -111,6 +113,18 @@ class ClockModulatedBank:
         activity = activity + self.enable_logic.step(active=enable)
         return activity
 
+    def activity_trace(self, wmark: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` (``clk_ctrl`` tied high) from reset."""
+        enable = np.asarray(wmark, dtype=bool)
+        bank = self.bank.activity_trace(enable)
+        enable_logic = self.enable_logic.activity_trace(enable)
+        return ActivityTrace(
+            self.name,
+            clock_toggles=bank.clock_toggles + self.icg_clock_tree.toggles_per_cycle(),
+            data_toggles=bank.data_toggles,
+            comb_toggles=bank.comb_toggles + enable_logic.comb_toggles,
+        )
+
     def expected_active_activity(self) -> ActivityRecord:
         """Activity of one enabled cycle, for analytical power estimates."""
         return ActivityRecord(
@@ -192,6 +206,17 @@ class ClockModulatedIPBlock:
         return ActivityRecord(
             clock_toggles=register_clocks + gate_clocks + tree_clocks,
             data_toggles=data,
+        )
+
+    def activity_trace(self, wmark: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` (``clk_ctrl`` tied high)."""
+        enable = np.asarray(wmark, dtype=bool)
+        active = self.expected_active_activity()
+        return ActivityTrace(
+            self.name,
+            clock_toggles=active.clock_toggles * enable,
+            data_toggles=active.data_toggles * enable,
+            comb_toggles=active.comb_toggles * enable,
         )
 
     def expected_active_activity(self) -> ActivityRecord:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.rtl.activity import ActivityRecord
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.rtl.signals import hamming_distance
 
@@ -178,6 +178,74 @@ def _cached_sequence_bits(key: Tuple, length: int, generate) -> np.ndarray:
     return cached[:length].copy()
 
 
+def _shift_right_columns(width: int, feedback: int) -> List[int]:
+    """Column images of a right shift whose output bit XORs in ``feedback``.
+
+    Both generators are this GF(2)-linear map: the Galois LFSR with its
+    feedback mask, the circular shift register with the top stage.  Column
+    ``j`` is the next state of the unit state ``1 << j``.
+    """
+    return [feedback] + [1 << (j - 1) for j in range(1, width)]
+
+
+def _apply_columns(columns: List[int], value: int) -> int:
+    """The linear map given by ``columns`` applied to one state."""
+    image = 0
+    for bit, column in enumerate(columns):
+        if (value >> bit) & 1:
+            image ^= column
+    return image
+
+
+def linear_state_sequence(columns: List[int], seed: int, length: int) -> np.ndarray:
+    """States ``s[0] = seed, s[n + 1] = A s[n]`` of a GF(2)-linear register.
+
+    ``A`` is given by its column images (see :func:`_shift_right_columns`).
+    Doubling fills the array without one Python iteration per state: with
+    ``k`` states known, ``s[k:2k] = A^k s[0:k]`` is one vectorised pass per
+    state bit, and squaring gives ``A^2k`` for the next round.  That is
+    O(width * log(length)) array operations plus O(width^2 * log(length))
+    integer work for the squarings.
+    """
+    if length <= 0:
+        raise ValueError("sequence length must be positive")
+    if len(columns) > 62:
+        raise ValueError("states wider than 62 bits do not fit the int64 state array")
+    states = np.empty(length, dtype=np.int64)
+    states[0] = seed
+    power = list(columns)  # A^filled
+    filled = 1
+    while filled < length:
+        block = min(filled, length - filled)
+        source = states[:block]
+        image = np.zeros(block, dtype=np.int64)
+        for bit, column in enumerate(power):
+            image ^= ((source >> bit) & 1) * column
+        states[filled : filled + block] = image
+        filled += block
+        power = [_apply_columns(power, column) for column in power]
+    return states
+
+
+def _hamming_weights(values: np.ndarray) -> np.ndarray:
+    """Per-element population count of non-negative int64 values."""
+    octets = np.ascontiguousarray(values, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1).sum(axis=1, dtype=np.int64)
+
+
+def _generator_activity(
+    name: str, width: int, states: np.ndarray, comb_toggles: np.ndarray
+) -> ActivityTrace:
+    """Activity of ``len(states) - 1`` steps through the given states."""
+    steps = len(states) - 1
+    return ActivityTrace(
+        name,
+        clock_toggles=np.full(steps, CLOCK_EDGES_PER_CYCLE * width, dtype=np.int64),
+        data_toggles=_hamming_weights(states[:-1] ^ states[1:]),
+        comb_toggles=comb_toggles,
+    )
+
+
 def max_length_period(width: int) -> int:
     """Period of a maximum-length sequence of the given register width."""
     if width < 2:
@@ -211,6 +279,15 @@ class SequenceGenerator(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Return to the seed state."""
+
+    @abc.abstractmethod
+    def activity_trace(self, num_cycles: int) -> ActivityTrace:
+        """Array form of :meth:`step`: ``num_cycles`` enabled cycles from reset.
+
+        Derived from the closed-form state sequence; bit-identical to the
+        activity records of stepping from the seed state, which stays the
+        golden reference.  The generator state is not touched.
+        """
 
     @property
     def register_count(self) -> int:
@@ -348,6 +425,12 @@ class LFSR(SequenceGenerator):
     def reset(self) -> None:
         self.state = self.seed
 
+    def activity_trace(self, num_cycles: int) -> ActivityTrace:
+        columns = _shift_right_columns(self.width, self._feedback_mask)
+        states = linear_state_sequence(columns, self.seed, num_cycles + 1)
+        feedback_gates = len(self.taps) * (states[:-1] & 1)
+        return _generator_activity(self.name, self.width, states, feedback_gates)
+
     def _save_state(self) -> int:
         return self.state
 
@@ -401,6 +484,13 @@ class CircularShiftRegister(SequenceGenerator):
 
     def reset(self) -> None:
         self.state = self.pattern
+
+    def activity_trace(self, num_cycles: int) -> ActivityTrace:
+        columns = _shift_right_columns(self.width, 1 << (self.width - 1))
+        states = linear_state_sequence(columns, self.pattern, num_cycles + 1)
+        return _generator_activity(
+            self.name, self.width, states, np.zeros(num_cycles, dtype=np.int64)
+        )
 
     def _save_state(self) -> int:
         return self.state

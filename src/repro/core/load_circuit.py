@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.power.library import (
     PAPER_CLOCK_BUFFER_POWER_W,
     PAPER_DATA_SWITCHING_POWER_W,
 )
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
+from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, ShiftRegister
 
 
@@ -122,6 +124,16 @@ class LoadCircuit:
         total = ZERO_ACTIVITY
         for word in self.words:
             total = total + word.shift(enable=True)
+        return total
+
+    def activity_trace(self, wmark: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` over consecutive cycles from reset."""
+        enable = np.asarray(wmark, dtype=bool)
+        total = ActivityTrace.zeros(self.name, len(enable))
+        for word in self.words:
+            shifted = word.activity_trace(enable)
+            total.clock_toggles += shifted.clock_toggles
+            total.data_toggles += shifted.data_toggles
         return total
 
     def expected_active_activity(self) -> ActivityRecord:

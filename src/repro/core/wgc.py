@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.lfsr import LFSR, CircularShiftRegister, SequenceGenerator
-from repro.rtl.activity import ActivityRecord
+from repro.rtl.activity import ActivityRecord, ActivityTrace
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE, CombinationalBlock
 
 
@@ -167,6 +167,18 @@ class WatermarkGenerationCircuit:
         )
         control_activity = self.control.step(active=True)
         return self._wmark, generator_activity + config_activity + control_activity
+
+    def activity_trace(self, num_cycles: int) -> ActivityTrace:
+        """Array form of :meth:`step`: ``num_cycles`` cycles from reset."""
+        trace = self.active_generator.activity_trace(num_cycles)
+        control = self.control.activity_trace(np.ones(num_cycles, dtype=bool))
+        return ActivityTrace(
+            self.name,
+            clock_toggles=trace.clock_toggles
+            + CLOCK_EDGES_PER_CYCLE * self.always_clocked_registers,
+            data_toggles=trace.data_toggles,
+            comb_toggles=trace.comb_toggles + control.comb_toggles,
+        )
 
     def sequence(self, length: Optional[int] = None) -> np.ndarray:
         """The watermark sequence as a numpy array of 0/1 values.

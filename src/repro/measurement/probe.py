@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from repro.measurement.noise import gaussian_noise
 
@@ -54,6 +53,10 @@ class DifferentialProbe:
         samples = np.asarray(voltage_v, dtype=np.float64) * self.gain
         nyquist = sampling_frequency_hz / 2.0
         if self.bandwidth_hz < nyquist and len(samples) > 12:
+            # Only the opt-in detailed acquisition path filters, so SciPy
+            # (about 1.4 s to import) is loaded on first use, not with repro.
+            from scipy import signal
+
             normalized_cutoff = self.bandwidth_hz / nyquist
             b, a = signal.butter(2, normalized_cutoff, btype="low")
             samples = signal.lfilter(b, a, samples)

@@ -7,6 +7,11 @@ Every component exposes two things:
 * a per-cycle behavioural ``step`` that returns an :class:`ActivityRecord`
   describing how many nodes toggled during that cycle.
 
+The components the watermark drives also have an array form,
+``activity_trace(enable)``: the activity of consecutive cycles from reset
+for a per-cycle enable array, bit-identical to stepping them.  ``step``
+stays the golden reference.
+
 The clock-power model follows Section II of the paper: when a register's
 clock is *enabled*, its internal clock buffer toggles twice per cycle
 (rising and falling edge) regardless of whether the stored data changes;
@@ -20,7 +25,9 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
-from repro.rtl.activity import ActivityRecord, ZERO_ACTIVITY
+import numpy as np
+
+from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
 from repro.rtl.signals import hamming_distance, hamming_weight
 
 #: Clock-net transitions per cycle when the clock is propagated.
@@ -145,10 +152,40 @@ class ShiftRegister(Register):
         """
         if not enable:
             return ZERO_ACTIVITY
+        return self.step(clock_enabled=True, next_value=self._shifted(self.value, serial_in))
+
+    def _shifted(self, value: int, serial_in: Optional[int] = None) -> int:
         if serial_in is None:
-            serial_in = (self.value >> (self.width - 1)) & 1 if self.circular else 0
-        next_value = ((self.value << 1) | (serial_in & 1)) & ((1 << self.width) - 1)
-        return self.step(clock_enabled=True, next_value=next_value)
+            serial_in = (value >> (self.width - 1)) & 1 if self.circular else 0
+        return ((value << 1) | (serial_in & 1)) & ((1 << self.width) - 1)
+
+    def activity_trace(self, enable: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`shift` over consecutive cycles from reset.
+
+        The data toggles of a shift depend only on how many shifts came
+        before it: the contents after ``k`` shifts are the reset pattern
+        rotated (circular) or shifted out (linear) ``k`` places.  One
+        word-width table of per-shift Hamming distances therefore serves
+        every cycle.
+        """
+        enabled = np.asarray(enable, dtype=bool)
+        per_shift = np.zeros(self.width + 1, dtype=np.int64)
+        value = self.reset_value
+        for shifts in range(self.width):
+            shifted = self._shifted(value)
+            per_shift[shifts] = hamming_distance(value, shifted, self.width)
+            value = shifted
+        shifts_before = np.cumsum(enabled) - enabled
+        if self.circular:
+            shifts_before %= self.width
+        else:
+            np.minimum(shifts_before, self.width, out=shifts_before)
+        return ActivityTrace(
+            self.name,
+            clock_toggles=CLOCK_EDGES_PER_CYCLE * self.width * enabled,
+            data_toggles=per_shift[shifts_before] * enabled,
+            comb_toggles=np.zeros(len(enabled), dtype=np.int64),
+        )
 
 
 class ClockGate(Component):
@@ -179,6 +216,18 @@ class ClockGate(Component):
         comb = 1 if self.enabled != self._previous_enabled else 0
         clock = CLOCK_EDGES_PER_CYCLE if self.enabled else 0
         return ActivityRecord(clock_toggles=clock, comb_toggles=comb)
+
+    def activity_trace(self, enable: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` over consecutive cycles from reset."""
+        enabled = np.asarray(enable, dtype=bool)
+        previous = np.zeros_like(enabled)
+        previous[1:] = enabled[:-1]
+        return ActivityTrace(
+            self.name,
+            clock_toggles=CLOCK_EDGES_PER_CYCLE * enabled,
+            data_toggles=np.zeros(len(enabled), dtype=np.int64),
+            comb_toggles=enabled != previous,
+        )
 
     def clock_out(self, enable: bool) -> bool:
         """Whether the downstream clock branch is active this cycle."""
@@ -244,6 +293,17 @@ class CombinationalBlock(Component):
         if toggles is None:
             toggles = int(round(self.gate_count * self.activity_factor))
         return ActivityRecord(comb_toggles=toggles)
+
+    def activity_trace(self, active: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` (activity-factor estimate) per cycle."""
+        toggles = self.step(active=True).comb_toggles
+        zeros = np.zeros(len(active), dtype=np.int64)
+        return ActivityTrace(
+            self.name,
+            clock_toggles=zeros,
+            data_toggles=zeros.copy(),
+            comb_toggles=toggles * np.asarray(active, dtype=bool),
+        )
 
 
 class RegisterBank(Component):
@@ -331,3 +391,21 @@ class RegisterBank(Component):
             total = total + word.step(clock_enabled=True, next_value=next_value)
         self._toggle_phase ^= 1
         return total
+
+    def activity_trace(self, enable: np.ndarray) -> ActivityTrace:
+        """Array form of :meth:`step` over consecutive cycles from reset.
+
+        Every ICG sees the same enable, so the bank's gate activity is one
+        gate's times ``num_words``.  An enabled cycle clocks every register
+        and flips exactly ``switching_registers`` bits (the XOR masks cover
+        that many bits in total, whatever the word contents).
+        """
+        enabled = np.asarray(enable, dtype=bool)
+        gates = self.clock_gates[0].activity_trace(enabled)
+        return ActivityTrace(
+            self.name,
+            clock_toggles=self.num_words * gates.clock_toggles
+            + CLOCK_EDGES_PER_CYCLE * self.total_registers * enabled,
+            data_toggles=self.switching_registers * enabled,
+            comb_toggles=self.num_words * gates.comb_toggles,
+        )

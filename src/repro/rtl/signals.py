@@ -182,7 +182,7 @@ def hamming_distance(a: int, b: int, width: Optional[int] = None) -> int:
     diff = a ^ b
     if width is not None:
         diff &= (1 << width) - 1
-    return bin(diff).count("1")
+    return int(diff).bit_count()
 
 
 def hamming_weight(value: int, width: Optional[int] = None) -> int:

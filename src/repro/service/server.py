@@ -87,6 +87,12 @@ _GET_ROUTES = ("/healthz", "/metrics")
 _INFLIGHT_LOCKS = 256
 _POST_ROUTES = (VERIFY_ENDPOINT, ISSUE_ENDPOINT)
 
+#: Most bytes of a rejected oversized body read and dropped before the
+#: connection closes.  Draining lets the client finish sending and read
+#: the 413; a client still sending past this bound gets a reset instead.
+_MAX_DISCARD_BYTES = 32 * 1_048_576
+_DISCARD_CHUNK_BYTES = 65_536
+
 
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
@@ -428,6 +434,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         self.timeout = self.server.service.config.request_timeout_s
+        # Declared size of a body rejected unread (drained after the reply).
+        self._rejected_body_bytes: Optional[int] = None
         super().setup()
 
     # -- plumbing --------------------------------------------------------------
@@ -440,8 +448,29 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self._rejected_body_bytes is not None:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def _discard_body(self) -> None:
+        """Read and drop a rejected body, bounded in size and time.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, and a client still sending its body then fails with a
+        broken pipe before it can read the 413.
+        """
+        remaining = min(self._rejected_body_bytes or 0, _MAX_DISCARD_BYTES)
+        self._rejected_body_bytes = None
+        deadline = time.perf_counter() + self.server.service.config.request_timeout_s
+        try:
+            while remaining > 0 and time.perf_counter() < deadline:
+                chunk = self.rfile.read1(min(remaining, _DISCARD_CHUNK_BYTES))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+        except OSError:
+            logger.debug("client went away while its rejected body was drained")
 
     def _read_body(self) -> bytes:
         length_header = self.headers.get("Content-Length")
@@ -455,6 +484,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             ) from None
         limit = self.server.service.config.max_body_bytes
         if length < 0 or length > limit:
+            self.close_connection = True
+            self._rejected_body_bytes = max(length, 0)
             raise ServiceError(
                 413,
                 "payload_too_large",
@@ -486,6 +517,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(status, body)
         except (BrokenPipeError, ConnectionResetError):
             logger.debug("client went away before the response for %s", path)
+        if self._rejected_body_bytes is not None:
+            self._discard_body()
         service.metrics.observe(path, status, (time.perf_counter() - start) * 1e3)
 
     def _route(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.caching import LRUCache
-from repro.rtl.activity import ActivityRecord, ActivityTrace
+from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
 from repro.rtl.components import CLOCK_EDGES_PER_CYCLE
 from repro.rtl.signals import hamming_distance
 from repro.soc.assembler import Program
@@ -43,6 +43,24 @@ from repro.soc.isa import (
 )
 
 _WORD_MASK = 0xFFFFFFFF
+
+#: One cycle's ``(clock_toggles, data_toggles, comb_toggles)``.
+CycleCounts = Tuple[int, int, int]
+
+#: Branch conditions as predicates over the ``(n, z, c, v)`` flags.
+_CONDITIONS: Dict[Condition, Callable[[bool, bool, bool, bool], bool]] = {
+    Condition.AL: lambda n, z, c, v: True,
+    Condition.EQ: lambda n, z, c, v: z,
+    Condition.NE: lambda n, z, c, v: not z,
+    Condition.CS: lambda n, z, c, v: c,
+    Condition.CC: lambda n, z, c, v: not c,
+    Condition.MI: lambda n, z, c, v: n,
+    Condition.PL: lambda n, z, c, v: not n,
+    Condition.LT: lambda n, z, c, v: n != v,
+    Condition.LE: lambda n, z, c, v: z or (n != v),
+    Condition.GT: lambda n, z, c, v: (not z) and (n == v),
+    Condition.GE: lambda n, z, c, v: n == v,
+}
 
 
 # -- shared M0 window cache ----------------------------------------------------
@@ -234,7 +252,16 @@ class CortexM0Like:
         self._prev_operands = (0, 0)
         # Multi-cycle instruction bookkeeping.
         self._stall_cycles = 0
-        self._pending_activity: Optional[ActivityRecord] = None
+        self._pending_counts: Optional[CycleCounts] = None
+        # Constants of the per-cycle path: the fetch encoding of every
+        # instruction of the program and the activity-model terms that do
+        # not depend on the executed instruction.
+        self._fetch_words = [instruction.encode() for instruction in program.instructions]
+        model = self.activity
+        self._decode_comb_toggles = int(
+            round((model.decode_gates + model.alu_gates) * model.comb_activity_factor)
+        )
+        self._idle_counts: CycleCounts = (model.idle_activity().clock_toggles, 0, 0)
 
     # -- architectural helpers -----------------------------------------------
 
@@ -250,7 +277,7 @@ class CortexM0Like:
         self._prev_result = 0
         self._prev_operands = (0, 0)
         self._stall_cycles = 0
-        self._pending_activity = None
+        self._pending_counts = None
 
     def register(self, index: int) -> int:
         """Read an architectural register."""
@@ -293,49 +320,37 @@ class CortexM0Like:
         self.flags["v"] = bool((signed_a >= 0) != (signed_b >= 0) and (signed_r >= 0) != (signed_a >= 0))
 
     def _condition_met(self, condition: Condition) -> bool:
-        n, z, c, v = self.flags["n"], self.flags["z"], self.flags["c"], self.flags["v"]
-        table = {
-            Condition.AL: True,
-            Condition.EQ: z,
-            Condition.NE: not z,
-            Condition.CS: c,
-            Condition.CC: not c,
-            Condition.MI: n,
-            Condition.PL: not n,
-            Condition.LT: n != v,
-            Condition.LE: z or (n != v),
-            Condition.GT: (not z) and (n == v),
-            Condition.GE: n == v,
-        }
-        return table[condition]
+        flags = self.flags
+        return _CONDITIONS[condition](flags["n"], flags["z"], flags["c"], flags["v"])
 
     # -- execution -----------------------------------------------------------
 
     def step_cycle(self) -> ActivityRecord:
         """Advance the core by exactly one clock cycle."""
+        clock_toggles, data_toggles, comb_toggles = self._step_counts()
+        return ActivityRecord(clock_toggles, data_toggles, comb_toggles)
+
+    def _step_counts(self) -> CycleCounts:
+        """:meth:`step_cycle` as a plain ``(clock, data, comb)`` tuple."""
         if self.halted:
             self.stats.halted_cycles += 1
-            return self.activity.idle_activity()
+            return self._idle_counts
         self.stats.cycles += 1
         if self._stall_cycles > 0:
             self._stall_cycles -= 1
-            activity = self._pending_activity or self.activity.idle_activity()
+            clock_toggles, data_toggles, comb_toggles = self._pending_counts or self._idle_counts
             # Stall cycles re-use the clock network but not the full datapath.
-            return ActivityRecord(
-                clock_toggles=activity.clock_toggles,
-                data_toggles=activity.data_toggles // 2,
-                comb_toggles=activity.comb_toggles // 2,
-            )
+            return clock_toggles, data_toggles // 2, comb_toggles // 2
         return self._execute_next_instruction()
 
-    def _execute_next_instruction(self) -> ActivityRecord:
+    def _execute_next_instruction(self) -> CycleCounts:
         pc = self.registers[PC]
         if not 0 <= pc < len(self.program.instructions):
             raise CPUError(f"program counter {pc} outside program of {len(self.program)} instructions")
         instruction = self.program.instructions[pc]
         self.stats.instructions += 1
 
-        fetch_word = instruction.encode()
+        fetch_word = self._fetch_words[pc]
         fetch_toggles = hamming_distance(self._prev_fetch_word, fetch_word, 16)
         self._prev_fetch_word = fetch_word
 
@@ -346,12 +361,7 @@ class CortexM0Like:
         result_toggles = hamming_distance(self._prev_result, result, 32)
         self._prev_result = result
         datapath_toggles = fetch_toggles + result_toggles + operand_toggles
-        comb_toggles = int(
-            round(
-                (self.activity.decode_gates + self.activity.alu_gates)
-                * self.activity.comb_activity_factor
-            )
-        ) + datapath_toggles // 2
+        comb_toggles = self._decode_comb_toggles + datapath_toggles // 2
 
         core_activity = self.activity.cycle_activity(
             executing=True,
@@ -359,13 +369,16 @@ class CortexM0Like:
             datapath_toggles=datapath_toggles,
             comb_toggles=comb_toggles,
         )
-        total_activity = core_activity + bus_activity
+        self._pending_counts = (core_activity.clock_toggles, datapath_toggles, comb_toggles)
 
         total_cycles = instruction.base_cycles() + extra_cycles
         self._stall_cycles = max(0, total_cycles - 1)
-        self._pending_activity = core_activity
         self.registers[PC] = next_pc
-        return total_activity
+        return (
+            core_activity.clock_toggles + bus_activity.clock_toggles,
+            datapath_toggles + bus_activity.data_toggles,
+            comb_toggles + bus_activity.comb_toggles,
+        )
 
     def _execute(
         self, instruction: Instruction, pc: int
@@ -377,7 +390,7 @@ class CortexM0Like:
         """
         opcode = instruction.opcode
         operands = instruction.operands
-        bus_activity = ActivityRecord()
+        bus_activity = ZERO_ACTIVITY
         extra_cycles = 0
         regfile_write = False
         result = 0
@@ -541,16 +554,21 @@ class CortexM0Like:
         """Run for ``num_cycles`` clock cycles and return the activity trace."""
         if num_cycles <= 0:
             raise ValueError("num_cycles must be positive")
+        counts = np.empty((3, num_cycles), dtype=np.int64)
+        clock_toggles, data_toggles, comb_toggles = counts
+        step = self._step_counts
         # repro-lint: allow[HOT001] golden reference path: the cycle-accurate ISS is the ground truth the fast paths window-cache
-        records = [self.step_cycle() for _ in range(num_cycles)]
-        return ActivityTrace.from_records(self.name, records)
+        for cycle in range(num_cycles):
+            clock_toggles[cycle], data_toggles[cycle], comb_toggles[cycle] = step()
+        return ActivityTrace(self.name, clock_toggles, data_toggles, comb_toggles)
 
     def run_until_halt(self, max_cycles: int = 1_000_000) -> ActivityTrace:
         """Run until the program executes ``halt`` (or ``max_cycles`` elapse)."""
-        records = []
+        counts: List[CycleCounts] = []
         # repro-lint: allow[HOT001] golden reference path: halt detection needs the cycle-accurate ISS step loop
         for _ in range(max_cycles):
-            records.append(self.step_cycle())
+            counts.append(self._step_counts())
             if self.halted:
                 break
-        return ActivityTrace.from_records(self.name, records)
+        clock_toggles, data_toggles, comb_toggles = np.array(counts, dtype=np.int64).reshape(-1, 3).T
+        return ActivityTrace(self.name, clock_toggles, data_toggles, comb_toggles)

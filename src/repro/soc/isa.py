@@ -97,6 +97,12 @@ BASE_CYCLES: Dict[Opcode, int] = {
 #: Extra cycles when a branch is taken (pipeline refill).
 TAKEN_BRANCH_PENALTY = 2
 
+#: Encoding fields: the declaration index of each opcode and condition.
+_OPCODE_FIELDS: Dict[Opcode, int] = {opcode: index for index, opcode in enumerate(Opcode)}
+_CONDITION_FIELDS: Dict[Condition, int] = {
+    condition: index for index, condition in enumerate(Condition)
+}
+
 
 @dataclass(frozen=True)
 class Operand:
@@ -172,8 +178,8 @@ class Instruction:
         data-dependent Hamming distances, which is what the power model
         needs.
         """
-        opcode_field = list(Opcode).index(self.opcode) & 0x1F
-        cond_field = list(Condition).index(self.condition) & 0xF
+        opcode_field = _OPCODE_FIELDS[self.opcode] & 0x1F
+        cond_field = _CONDITION_FIELDS[self.condition] & 0xF
         operand_hash = 0
         for i, operand in enumerate(self.operands):
             if operand.kind == "reg":

@@ -196,6 +196,12 @@ class TestHOT001:
         for path in ("src/repro/soc/chip.py", "src/repro/soc/cpu.py"):
             assert rule_ids(lint_source(HOT_LOOP, path)) == ["HOT001"]
 
+    def test_closed_form_watermark_modules_are_hot(self):
+        for module in ("architectures", "clock_modulation", "lfsr", "load_circuit", "wgc"):
+            path = f"src/repro/core/{module}.py"
+            assert rule_ids(lint_source(HOT_LOOP, path)) == ["HOT001"], path
+        assert lint_source(HOT_LOOP, "src/repro/core/spec.py") == []
+
     def test_while_loop_over_cycles_is_flagged(self):
         findings = lint_source(
             snippet(

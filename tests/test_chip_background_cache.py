@@ -268,5 +268,6 @@ class TestWarmPathHasNoPerCycleLoop:
             raise AssertionError("warm path stepped the core cycle by cycle")
 
         monkeypatch.setattr(cpu_module.CortexM0Like, "step_cycle", boom)
+        monkeypatch.setattr(cpu_module.CortexM0Like, "_step_counts", boom)
         warm = chip.total_power(3000, seed=4)
         assert len(warm) == 3000

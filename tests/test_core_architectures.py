@@ -79,12 +79,15 @@ class TestSharedBehaviour:
         assert np.array_equal(traces["load"].total_toggles[period : 2 * period], one_period)
 
     def test_step_matches_periodic_activity(self, small_config):
-        watermark = ClockModulationWatermark.from_config(small_config)
-        periodic = watermark.periodic_activity()
-        watermark.reset()
-        stepped = [watermark.step() for _ in range(10)]
-        for cycle, record in enumerate(stepped):
-            assert record["load"] == periodic["load"][cycle]
+        for architecture in (BaselineWatermark, ClockModulationWatermark):
+            watermark = architecture.from_config(small_config)
+            periodic = watermark.periodic_activity()
+            watermark.reset()
+            stepped = [watermark.step() for _ in range(watermark.sequence_period)]
+            for key in ("wgc", "load"):
+                assert len(periodic[key]) == len(stepped)
+                for cycle, record in enumerate(stepped):
+                    assert record[key] == periodic[key][cycle], (architecture, key, cycle)
 
     def test_power_trace_has_watermark_shape(self, small_config, nominal_estimator):
         watermark = ClockModulationWatermark.from_config(small_config)

@@ -10,8 +10,10 @@ quick.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -495,6 +497,21 @@ def test_oversized_body_is_a_413(live_server):
     with pytest.raises(ServiceHTTPError) as excinfo:
         big._request("POST", VERIFY_ENDPOINT, payload)
     assert excinfo.value.status == 413
+
+
+def test_oversized_body_is_drained_then_the_connection_closes(live_server):
+    url = urllib.parse.urlsplit(live_server.url)
+    body = b"x" * (2 * live_server.service.config.max_body_bytes)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    try:
+        connection.request("POST", VERIFY_ENDPOINT, body=body)
+        reply = connection.getresponse()
+        document = json.loads(reply.read())
+        assert reply.status == 413
+        assert reply.getheader("Connection") == "close"
+        assert document["error"]["code"] == "payload_too_large"
+    finally:
+        connection.close()
 
 
 def test_metrics_track_requests_and_cache(client):
