@@ -1,10 +1,11 @@
 """Benchmark: regenerate Fig. 2 (functional simulation of both architectures)."""
 
-from repro.experiments import run_fig2
+from repro.pipeline import ScenarioSpec, run_scenario
 
 
 def test_bench_fig2_functional_simulation(benchmark, report):
-    result = benchmark.pedantic(run_fig2, kwargs={"num_cycles": 64}, rounds=3, iterations=1)
+    spec = ScenarioSpec(kind="fig2", name="fig2", seed=0b1001, params={"num_cycles": 64})
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=3, iterations=1).payload
     report("Fig. 2: functional simulation of the watermark architectures", result.to_text())
 
     # Shape checks mirroring the paper's observation: both schemes are idle

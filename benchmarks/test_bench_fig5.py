@@ -8,7 +8,20 @@ dual-core A5-class subsystem), each with the watermark active and disabled.
 
 import pytest
 
-from repro.experiments.fig5 import run_fig5, run_fig5_panel
+from repro.pipeline import ScenarioSpec, run_scenario
+
+
+def fig5_spec(config, **overrides) -> ScenarioSpec:
+    """The composite Fig. 5 spec at ``config``; ``overrides`` select one panel."""
+    spec = ScenarioSpec(
+        kind="fig5",
+        name="fig5",
+        watermark=config.watermark,
+        measurement=config.measurement,
+        detection=config.detection,
+        seed=100,
+    )
+    return spec.with_overrides(**overrides)
 
 
 @pytest.mark.parametrize(
@@ -17,12 +30,10 @@ from repro.experiments.fig5 import run_fig5, run_fig5_panel
     ids=["chip1_active", "chip1_inactive", "chip2_active", "chip2_inactive"],
 )
 def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_name, watermark_active):
-    panel = benchmark.pedantic(
-        run_fig5_panel,
-        kwargs={"chip_name": chip_name, "watermark_active": watermark_active, "config": paper_config},
-        rounds=1,
-        iterations=1,
+    spec = fig5_spec(
+        paper_config, kind="fig5_panel", chip=chip_name, watermark_active=watermark_active
     )
+    panel = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report(
         f"Fig. 5 panel: {panel.label}",
         panel.cpa.summary() + "\n\n" + panel.spectrum.render_ascii(width=72, height=10),
@@ -40,7 +51,8 @@ def test_bench_fig5_panel(benchmark, report, paper_config, expectations, chip_na
 
 
 def test_bench_fig5_all_panels(benchmark, report, paper_config):
-    result = benchmark.pedantic(run_fig5, kwargs={"config": paper_config}, rounds=1, iterations=1)
+    spec = fig5_spec(paper_config)
+    result = benchmark.pedantic(run_scenario, args=(spec,), rounds=1, iterations=1).payload
     report("Fig. 5: all four panels", result.to_text())
 
     assert result.all_active_panels_detected

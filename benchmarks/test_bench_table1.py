@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.experiments import run_table1
+from repro.pipeline import run_scenario
 
 
 def test_bench_table1_load_circuit_power(benchmark, report, expectations):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=("table1",), rounds=1, iterations=1
+    ).payload
 
     expect = expectations["table1"]
     lines = [result.to_text(), "", "paper vs measured (dynamic power):"]

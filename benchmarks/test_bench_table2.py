@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.experiments import run_table2
+from repro.pipeline import run_scenario
 
 
 def test_bench_table2_overhead(benchmark, report, expectations):
-    result = benchmark.pedantic(run_table2, rounds=5, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=("table2",), rounds=5, iterations=1
+    ).payload
 
     expect = expectations["table2"]
     lines = [result.to_text(), "", "paper vs measured (registers / overhead reduction):"]

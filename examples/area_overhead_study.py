@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.analysis.area import AreaModel
 from repro.core.architectures import BaselineWatermark, ClockModulationWatermark
 from repro.core.config import WatermarkConfig
-from repro.experiments import run_table1, run_table2
+from repro.pipeline import ExperimentRunner
 
 
 def relative_overhead_sweep() -> str:
@@ -46,14 +46,15 @@ def relative_overhead_sweep() -> str:
 
 
 def main() -> None:
+    runner = ExperimentRunner()
     print("== Table I: power of the placed-and-routed load circuit ==")
-    table1 = run_table1()
+    table1 = runner.run("table1").payload
     print(table1.to_text())
     print(f"(WGC dynamic power: {table1.wgc_dynamic_w * 1e6:.1f} uW)")
     print()
 
     print("== Table II: load circuit implementation costs ==")
-    table2 = run_table2()
+    table2 = runner.run("table2").payload
     print(table2.to_text())
     print()
 

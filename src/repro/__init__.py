@@ -22,27 +22,27 @@ The package is organised as follows:
 ``repro.detection``
     Correlation Power Analysis detection, spread spectra and statistics.
 ``repro.analysis``
-    Area, overhead and removal-attack robustness analysis.
-``repro.experiments``
-    One driver per paper table/figure (Fig. 2, 3, 5, 6; Tables I, II;
-    Section VI robustness) -- thin shims over the scenario pipeline.
+    Area, overhead and removal-attack robustness analysis; the
+    ``repro-lint`` static-analysis engine.
 ``repro.pipeline``
-    The declarative scenario layer: frozen, serializable
-    :class:`repro.core.spec.ScenarioSpec`, the pipeline runner
-    (``ExperimentRunner.run`` / ``run_many``), typed result artifacts and
+    The declarative scenario layer and the one way to run every paper
+    table/figure (Fig. 2, 3, 5, 6; Tables I, II; Section VI robustness):
+    frozen, serializable :class:`repro.core.spec.ScenarioSpec`, the
+    pipeline runner (``ExperimentRunner.run`` / ``run_many``), the
+    per-figure result types, typed result artifacts, the result store and
     the named-experiment registry behind ``python -m repro run``.
+``repro.service``
+    Detection-as-a-service: HTTP server, signed transcripts, ledger.
+``repro.experiments``
+    The paper's published reference values (``paper_expectations``).
 
 Quickstart
 ----------
->>> from repro.experiments import run_table2
->>> result = run_table2()
->>> round(result.headline_reduction, 2)
-0.98
-
-Or declaratively, via the scenario registry:
-
 >>> from repro.pipeline import run_scenario
->>> round(run_scenario("table2").scalars["headline_reduction"], 2)
+>>> result = run_scenario("table2")
+>>> round(result.scalars["headline_reduction"], 2)
+0.98
+>>> round(result.payload.headline_reduction, 2)
 0.98
 """
 

@@ -379,3 +379,11 @@ class ClockModulationWatermark(WatermarkArchitecture):
             # only the WGC is new hardware.
             return dict(self.wgc.cell_inventory())
         return self.cell_inventory()
+
+
+def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchitecture:
+    """Build the watermark architecture selected by ``config``."""
+    config = config or WatermarkConfig()
+    if config.architecture is ArchitectureKind.CLOCK_MODULATION:
+        return ClockModulationWatermark.from_config(config)
+    return BaselineWatermark.from_config(config)

@@ -1,40 +1,7 @@
-"""Experiment drivers reproducing every table and figure of the paper.
+"""The paper's published reference values.
 
-Each module provides a ``run_*`` function returning a result dataclass with
-the raw numbers plus a ``to_text()``/``summary()`` renderer, so the same
-code backs the benchmark harness, the examples and EXPERIMENTS.md.
+Every table and figure of the paper runs through the scenario pipeline
+(:mod:`repro.pipeline`: ``run_scenario("fig5")``, ``python -m repro run
+fig5``); :func:`repro.experiments.common.paper_expectations` holds the
+published numbers the benchmarks and tests compare the reproduction against.
 """
-
-from repro.experiments.common import (
-    build_watermark,
-    build_chip,
-    paper_expectations,
-)
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import Fig3Result, run_fig3
-from repro.experiments.fig5 import Fig5Panel, Fig5Result, run_fig5
-from repro.experiments.fig6 import Fig6Result, run_fig6
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.robustness_exp import RobustnessResult, run_robustness
-
-__all__ = [
-    "build_watermark",
-    "build_chip",
-    "paper_expectations",
-    "Fig2Result",
-    "run_fig2",
-    "Fig3Result",
-    "run_fig3",
-    "Fig5Panel",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Result",
-    "run_fig6",
-    "Table1Result",
-    "run_table1",
-    "Table2Result",
-    "run_table2",
-    "RobustnessResult",
-    "run_robustness",
-]

@@ -1,45 +1,8 @@
-"""Shared helpers for the experiment drivers."""
+"""The paper's published values for the reproduction to be compared against."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.core.architectures import (
-    BaselineWatermark,
-    ClockModulationWatermark,
-    WatermarkArchitecture,
-)
-from repro.core.config import ArchitectureKind, ExperimentConfig, WatermarkConfig
-from repro.soc.chip import ChipModel
-from repro.soc.registry import build_registered_chip
-
-
-def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchitecture:
-    """Build the watermark architecture selected by ``config``."""
-    config = config or WatermarkConfig()
-    if config.architecture is ArchitectureKind.CLOCK_MODULATION:
-        return ClockModulationWatermark.from_config(config)
-    return BaselineWatermark.from_config(config)
-
-
-def build_chip(
-    chip_name: str,
-    config: Optional[ExperimentConfig] = None,
-    watermark: Optional[WatermarkArchitecture] = None,
-    m0_window_cycles: int = 16_384,
-) -> ChipModel:
-    """Build a registered chip with the paper's watermark configuration.
-
-    Chip names resolve through :mod:`repro.soc.registry` (canonical names
-    plus declared aliases); unknown names raise a ``ValueError`` listing
-    every valid spelling.
-    """
-    config = config or ExperimentConfig.paper_defaults()
-    if watermark is None:
-        watermark = build_watermark(config.watermark)
-    return build_registered_chip(
-        chip_name, watermark=watermark, m0_window_cycles=m0_window_cycles
-    )
+from typing import Dict
 
 
 def paper_expectations() -> Dict[str, Dict]:

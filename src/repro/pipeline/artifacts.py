@@ -6,7 +6,7 @@ A :class:`ScenarioResult` bundles everything one scenario run produced:
 * ``scalars`` -- JSON-able headline metrics,
 * ``arrays`` -- named numpy arrays (correlation spectra, traces, ...),
 * ``report`` -- the human-readable text report (bit-identical to what the
-  legacy driver printed),
+  original per-figure drivers printed),
 * ``provenance`` -- spec hash, commit, environment, timings.
 
 Artifacts round-trip through a JSON file plus a sibling ``.npz`` for the
@@ -153,7 +153,8 @@ class ScenarioResult:
     scalars: Dict[str, Any] = field(default_factory=dict)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     report: str = ""
-    #: The legacy result object (``Fig5Result``, ``Table1Result``, ...).
+    #: The in-memory result object (``Fig5Result``, ``Table1Result``, ...;
+    #: see :mod:`repro.pipeline.results`).
     #: Not serialized; ``None`` after :meth:`load` and under the process
     #: backend (results cross the process boundary serialized).
     payload: Any = None

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.caching import LRUCache
+from repro.core.architectures import build_watermark
 from repro.core.spec import ScenarioSpec
-from repro.experiments.common import build_watermark
 from repro.pipeline import backends, faults
 from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
 from repro.pipeline.chaos import ChaosPlan

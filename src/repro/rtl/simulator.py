@@ -62,8 +62,8 @@ class CycleSimulator:
     >>> from repro.rtl.signals import Clock
     >>> from repro.core import WatermarkGenerationCircuit
     >>> sim = CycleSimulator(Clock("clk", 10e6))
-    >>> wgc = WatermarkGenerationCircuit.max_length(width=4)
-    >>> sim.add_block("wgc", lambda cycle: wgc.step())
+    >>> wgc = WatermarkGenerationCircuit.minimal(width=4)
+    >>> sim.add_block("wgc", lambda cycle: wgc.step()[1])
     >>> result = sim.run(32)
     >>> len(result.trace("wgc"))
     32

@@ -1,7 +1,6 @@
 """Canonical chip registry.
 
-The paper's two test chips used to be resolved by stringly alias matching
-scattered through ``experiments/common.py``; this registry declares each
+The paper's two test chips are resolved here: this registry declares each
 chip once -- canonical name, builder, aliases, description -- and serves
 both the pipeline and the CLI.  Unknown names raise a ``ValueError``
 listing every valid spelling.

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Capture the pre-refactor reports of every legacy experiment entry point.
+"""Capture the reports and array digests of every paper scenario.
 
-Run once against the legacy drivers to freeze their reports and array
-digests at fixed seeds; ``tests/test_pipeline_equivalence.py`` then pins the
-registry-driven pipeline against the captured output bit for bit.
+The committed golden was captured from the original per-figure drivers,
+which the scenario pipeline has since replaced; re-running this script
+freezes the pipeline's current reports and array digests at the same fixed
+seeds and scales.  ``tests/test_pipeline_equivalence.py`` pins the pipeline
+against the captured output bit for bit.
 
 Usage:  PYTHONPATH=src python tests/data/capture_pipeline_golden.py
 """
@@ -17,15 +19,8 @@ import pathlib
 import numpy as np
 
 from repro.core.config import ExperimentConfig
-from repro.experiments import (
-    run_fig2,
-    run_fig3,
-    run_fig5,
-    run_fig6,
-    run_robustness,
-    run_table1,
-    run_table2,
-)
+from repro.core.spec import ScenarioSpec
+from repro.pipeline import ExperimentRunner
 
 OUT = pathlib.Path(__file__).with_name("pipeline_golden.json")
 
@@ -37,9 +32,10 @@ def digest(array: np.ndarray) -> str:
 
 def main() -> None:
     config = ExperimentConfig.fast(30_000)
+    runner = ExperimentRunner()
     golden = {}
 
-    fig2 = run_fig2()
+    fig2 = runner.run(ScenarioSpec(kind="fig2", name="fig2", seed=0b1001)).payload
     golden["fig2"] = {
         "report": fig2.to_text(),
         "arrays": {
@@ -49,13 +45,30 @@ def main() -> None:
         },
     }
 
-    fig3 = run_fig3(num_cycles=2_048, seed=7)
+    fig3 = runner.run(
+        ScenarioSpec(
+            kind="fig3",
+            name="fig3",
+            chip="chip1",
+            seed=7,
+            m0_window_cycles=2_048,
+            params={"num_cycles": 2_048},
+        )
+    ).payload
     golden["fig3"] = {
         "report": fig3.to_text(),
         "arrays": {"measured_total_power": digest(fig3.measured_total_power)},
     }
 
-    fig5 = run_fig5(config=config, seed=100, m0_window_cycles=4_096)
+    fig5 = runner.run(
+        ScenarioSpec(
+            kind="fig5",
+            name="fig5",
+            measurement=config.measurement,
+            seed=100,
+            m0_window_cycles=4_096,
+        )
+    ).payload
     golden["fig5"] = {
         "report": fig5.to_text(),
         "arrays": {
@@ -63,12 +76,20 @@ def main() -> None:
         },
     }
 
-    fig6 = run_fig6(repetitions=6, config=config, base_seed=1_000, m0_window_cycles=4_096)
+    fig6 = runner.run(
+        ScenarioSpec(
+            kind="fig6",
+            name="fig6",
+            measurement=config.measurement,
+            seed=1_000,
+            repetitions=6,
+            m0_window_cycles=4_096,
+        )
+    ).payload
     golden["fig6"] = {"report": fig6.to_text(), "arrays": {}}
 
-    golden["table1"] = {"report": run_table1().to_text(), "arrays": {}}
-    golden["table2"] = {"report": run_table2().to_text(), "arrays": {}}
-    golden["robustness"] = {"report": run_robustness().to_text(), "arrays": {}}
+    for name in ("table1", "table2", "robustness"):
+        golden[name] = {"report": runner.run(name).payload.to_text(), "arrays": {}}
 
     OUT.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT} ({len(golden)} experiments)")

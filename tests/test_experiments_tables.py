@@ -1,19 +1,15 @@
-"""Tests for the Table I, Table II and Section VI experiment drivers."""
+"""Tests for the Table I, Table II and Section VI scenarios."""
 
 import pytest
 
-from repro.experiments import (
-    paper_expectations,
-    run_robustness,
-    run_table1,
-    run_table2,
-)
+from repro.experiments.common import paper_expectations
+from repro.pipeline import ScenarioSpec, run_scenario
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table1()
+        return run_scenario("table1").payload
 
     def test_four_rows(self, result):
         assert [row.switching_registers for row in result.rows] == [0, 256, 512, 1024]
@@ -59,7 +55,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2()
+        return run_scenario("table2").payload
 
     def test_register_counts_match_paper_exactly(self, result):
         expectations = paper_expectations()["table2"]["load_registers"]
@@ -90,7 +86,7 @@ class TestTable2:
 class TestRobustnessExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_robustness()
+        return run_scenario("robustness").payload
 
     def test_baseline_easily_removed(self, result):
         assert result.baseline_removed_by_blind_attack
@@ -104,6 +100,10 @@ class TestRobustnessExperiment:
         assert result.improved_robustness_demonstrated
         assert "improved robustness demonstrated: True" in result.to_text()
 
-    def test_invalid_gate_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_robustness(modulated_gates=0)
+    # -1 must not slice clock_gate_paths(host)[:-1], which would silently
+    # modulate every gate but the last.
+    @pytest.mark.parametrize("modulated_gates", [0, -1])
+    def test_invalid_gate_count_rejected(self, modulated_gates):
+        spec = ScenarioSpec(kind="robustness", params={"modulated_gates": modulated_gates})
+        with pytest.raises(ValueError, match="at least one clock gate"):
+            run_scenario(spec)

@@ -1,9 +1,9 @@
-"""Legacy entry points pinned bit-identical to their pre-pipeline output.
+"""Paper scenarios pinned bit-identical to the original per-figure drivers.
 
-``tests/data/pipeline_golden.json`` was captured by running the pre-refactor
+``tests/data/pipeline_golden.json`` was captured by running the original
 drivers (``tests/data/capture_pipeline_golden.py``) at fixed seeds and quick
-scales.  Every legacy ``run_*`` entry point now delegates to the scenario
-pipeline; these tests prove the delegation changed nothing: reports match
+scales.  Every paper figure and table now runs through the scenario
+pipeline; these tests prove the pipeline changed nothing: reports match
 character for character and arrays match bit for bit.
 """
 
@@ -12,20 +12,10 @@ import json
 import pathlib
 
 import numpy as np
-import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.spec import ScenarioSpec
-from repro.experiments import (
-    run_fig2,
-    run_fig3,
-    run_fig5,
-    run_fig6,
-    run_robustness,
-    run_table1,
-    run_table2,
-)
-from repro.pipeline import ExperimentRunner
+from repro.pipeline import run_scenario
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "pipeline_golden.json").read_text()
@@ -42,7 +32,7 @@ def fast_config() -> ExperimentConfig:
 
 class TestFastExperimentsMatchGolden:
     def test_fig2(self):
-        result = run_fig2()
+        result = run_scenario(ScenarioSpec(kind="fig2", name="fig2", seed=0b1001)).payload
         assert result.to_text() == GOLDEN["fig2"]["report"]
         assert digest(result.wmark) == GOLDEN["fig2"]["arrays"]["wmark"]
         assert (
@@ -55,7 +45,15 @@ class TestFastExperimentsMatchGolden:
         )
 
     def test_fig3(self):
-        result = run_fig3(num_cycles=2_048, seed=7)
+        spec = ScenarioSpec(
+            kind="fig3",
+            name="fig3",
+            chip="chip1",
+            seed=7,
+            m0_window_cycles=2_048,
+            params={"num_cycles": 2_048},
+        )
+        result = run_scenario(spec).payload
         assert result.to_text() == GOLDEN["fig3"]["report"]
         assert (
             digest(result.measured_total_power)
@@ -63,60 +61,42 @@ class TestFastExperimentsMatchGolden:
         )
 
     def test_table1(self):
-        assert run_table1().to_text() == GOLDEN["table1"]["report"]
+        assert run_scenario("table1").payload.to_text() == GOLDEN["table1"]["report"]
 
     def test_table2(self):
-        assert run_table2().to_text() == GOLDEN["table2"]["report"]
+        assert run_scenario("table2").payload.to_text() == GOLDEN["table2"]["report"]
 
     def test_robustness(self):
-        assert run_robustness().to_text() == GOLDEN["robustness"]["report"]
+        assert (
+            run_scenario("robustness").payload.to_text()
+            == GOLDEN["robustness"]["report"]
+        )
 
 
 class TestAcquisitionExperimentsMatchGolden:
     """Fig. 5 / Fig. 6 at the captured quick scale (30k cycles, 4k window)."""
 
     def test_fig5_report_and_spectra(self):
-        result = run_fig5(config=fast_config(), seed=100, m0_window_cycles=4_096)
+        spec = ScenarioSpec(
+            kind="fig5",
+            name="fig5",
+            measurement=fast_config().measurement,
+            seed=100,
+            m0_window_cycles=4_096,
+        )
+        result = run_scenario(spec).payload
         assert result.to_text() == GOLDEN["fig5"]["report"]
         assert set(result.panels) == set(GOLDEN["fig5"]["arrays"])
         for key, panel in result.panels.items():
             assert digest(panel.cpa.correlations) == GOLDEN["fig5"]["arrays"][key], key
 
     def test_fig6_report(self):
-        result = run_fig6(
-            repetitions=6, config=fast_config(), base_seed=1_000, m0_window_cycles=4_096
-        )
-        assert result.to_text() == GOLDEN["fig6"]["report"]
-
-
-class TestRunnerAndShimAgree:
-    """The registry/runner path and the legacy shim produce identical output."""
-
-    def test_fig5_runner_equals_shim(self):
-        config = fast_config()
         spec = ScenarioSpec(
-            kind="fig5",
-            name="fig5",
-            measurement=config.measurement,
-            seed=100,
+            kind="fig6",
+            name="fig6",
+            measurement=fast_config().measurement,
+            seed=1_000,
+            repetitions=6,
             m0_window_cycles=4_096,
         )
-        via_runner = ExperimentRunner().run(spec)
-        assert via_runner.report == GOLDEN["fig5"]["report"]
-        for key in GOLDEN["fig5"]["arrays"]:
-            assert (
-                digest(via_runner.arrays[f"{key}/correlations"])
-                == GOLDEN["fig5"]["arrays"][key]
-            )
-
-    def test_table_runner_equals_shim(self):
-        runner = ExperimentRunner()
-        assert runner.run("table1").report == GOLDEN["table1"]["report"]
-        assert runner.run("table2").report == GOLDEN["table2"]["report"]
-        assert runner.run("robustness").report == GOLDEN["robustness"]["report"]
-
-    def test_custom_estimator_path_still_works(self):
-        from repro.power.estimator import PowerEstimator
-
-        direct = run_table1(estimator=PowerEstimator.at_nominal())
-        assert direct.to_text() == GOLDEN["table1"]["report"]
+        assert run_scenario(spec).payload.to_text() == GOLDEN["fig6"]["report"]

@@ -174,16 +174,18 @@ class TestExperimentRunner:
             ExperimentRunner().run_many([])
 
     def test_alias_chip_names_behave_like_canonical(self):
-        from repro.core.config import ExperimentConfig
-        from repro.experiments.fig5 import run_fig5_panel
+        def panel(chip_name):
+            spec = ScenarioSpec(
+                kind="fig5_panel",
+                chip=chip_name,
+                measurement=MeasurementConfig.quick(6_000),
+                seed=11,
+                m0_window_cycles=1_024,
+            )
+            return ExperimentRunner().run(spec).payload
 
-        config = ExperimentConfig(measurement=MeasurementConfig.quick(6_000))
-        canonical = run_fig5_panel(
-            "chip1", True, config=config, seed=11, m0_window_cycles=1_024
-        )
-        alias = run_fig5_panel(
-            "chipI", True, config=config, seed=11, m0_window_cycles=1_024
-        )
+        canonical = panel("chip1")
+        alias = panel("chipI")
         assert alias.chip_name == "chip1"
         assert np.array_equal(alias.cpa.correlations, canonical.cpa.correlations)
 
