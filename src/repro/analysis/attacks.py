@@ -214,11 +214,6 @@ class MaskingAttack:
     clock-gate enable (``enable_duties``).  Each sweep is a Monte-Carlo
     campaign (``trials_per_point`` trials per level) whose trials are all
     evaluated in one batched CPA pass.
-
-    ``compat_draw_order``/``gaussian_dtype`` select the trial-synthesis
-    Gaussian path (:meth:`repro.power.synthesis.TraceSynthesizer.synthesize_trials`):
-    the defaults reproduce the pinned per-trial random stream; campaign-scale
-    sweeps can opt into the fast chunked path and ``float32`` matrices.
     """
 
     masking_noise_levels_w: Sequence[float] = (0.0, 50e-3, 100e-3, 200e-3, 400e-3)
@@ -227,23 +222,6 @@ class MaskingAttack:
     num_cycles: int = 300_000
     detection_config: Optional[DetectionConfig] = None
     max_trials_per_chunk: Optional[int] = None
-    compat_draw_order: bool = True
-    gaussian_dtype: object = np.float64
-
-    @classmethod
-    def with_synthesis(cls, synthesis, **kwargs) -> "MaskingAttack":
-        """An attack whose trial-synthesis knobs come from a declarative
-        :class:`repro.core.config.SynthesisConfig` (as carried by a
-        :class:`repro.core.spec.ScenarioSpec`)."""
-        from repro.analysis.masking import sweep_kwargs_from_synthesis
-
-        mapped = sweep_kwargs_from_synthesis(synthesis)
-        overlap = set(mapped) & set(kwargs)
-        if overlap:
-            raise ValueError(
-                f"pass {sorted(overlap)} via the SynthesisConfig, not as keywords"
-            )
-        return cls(**kwargs, **mapped)
 
     def sweep_noise_injection(
         self,
@@ -265,8 +243,6 @@ class MaskingAttack:
             seed=seed,
             trials_per_point=self.trials_per_point,
             max_trials_per_chunk=self.max_trials_per_chunk,
-            compat_draw_order=self.compat_draw_order,
-            gaussian_dtype=self.gaussian_dtype,
         )
 
     def sweep_starvation(
@@ -289,6 +265,4 @@ class MaskingAttack:
             seed=seed,
             trials_per_point=self.trials_per_point,
             max_trials_per_chunk=self.max_trials_per_chunk,
-            compat_draw_order=self.compat_draw_order,
-            gaussian_dtype=self.gaussian_dtype,
         )

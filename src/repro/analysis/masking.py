@@ -20,27 +20,13 @@ trip per configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import DetectionConfig, SynthesisConfig
+from repro.core.config import DetectionConfig
 from repro.detection.batch import BatchCPADetector, BatchCPAResult
 from repro.power.synthesis import TraceSynthesizer
-
-
-def sweep_kwargs_from_synthesis(synthesis: SynthesisConfig) -> dict:
-    """Map a declarative :class:`SynthesisConfig` onto the sweep keywords.
-
-    Used by the pipeline stages (and anyone driving the sweeps from a
-    :class:`repro.core.spec.ScenarioSpec`) so the spec's serialized dtype
-    name becomes the actual numpy dtype the engines expect.
-    """
-    return {
-        "max_trials_per_chunk": synthesis.max_trials_per_chunk,
-        "compat_draw_order": synthesis.compat_draw_order,
-        "gaussian_dtype": np.dtype(synthesis.gaussian_dtype),
-    }
 
 
 @dataclass(frozen=True)
@@ -121,23 +107,14 @@ def _run_sweep(
     detector: BatchCPADetector,
     base_power_w: float = 5e-3,
     max_trials_per_chunk: Optional[int] = None,
-    compat_draw_order: bool = True,
-    gaussian_dtype: Union[np.dtype, type, str] = np.float64,
 ) -> Optional[BatchCPAResult]:
     """Synthesize and detect the trial rows of a masking sweep.
 
-    One row per (sweep point, trial), in sweep order; with the default
-    ``compat_draw_order=True`` each row draws its random phase offset,
-    starvation gate and acquisition noise in the same order a per-trial
-    simulation would, so the random stream (and therefore every detection
-    outcome) is independent of ``max_trials_per_chunk``, which only bounds
-    how many rows are materialised and detected at once.
-    ``compat_draw_order=False`` switches the synthesis to the fast chunked
-    Gaussian path and ``gaussian_dtype=np.float32`` halves trial-matrix
-    memory -- both change the exact noise realisation (not the campaign
-    statistics), and in fast mode the realisation *does* depend on the
-    chunk boundaries (offsets and noise are drawn per chunk), so golden
-    sweeps keep the compat defaults.
+    One row per (sweep point, trial), in sweep order; each row draws its
+    random phase offset, starvation gate and acquisition noise in the same
+    order a per-trial simulation would, so the random stream (and therefore
+    every detection outcome) is independent of ``max_trials_per_chunk``,
+    which only bounds how many rows are materialised and detected at once.
     The rows themselves come out of
     :meth:`repro.power.synthesis.TraceSynthesizer.synthesize_trials` (one
     batched modular gather per chunk; starvation gates model the host's
@@ -173,8 +150,6 @@ def _run_sweep(
                 rng,
                 noise_sigmas=[sigma for sigma, _ in chunk_specs],
                 enable_duties=[duty for _, duty in chunk_specs],
-                compat_draw_order=compat_draw_order,
-                dtype=gaussian_dtype,
             )
         )
     if len(batches) == 1:
@@ -217,8 +192,6 @@ def run_noise_masking_study(
     seed: int = 0,
     trials_per_point: int = 1,
     max_trials_per_chunk: Optional[int] = None,
-    compat_draw_order: bool = True,
-    gaussian_dtype: Union[np.dtype, type, str] = np.float64,
 ) -> MaskingStudy:
     """Sweep the amount of random masking activity an attacker injects.
 
@@ -255,8 +228,6 @@ def run_noise_masking_study(
         rng,
         detector,
         max_trials_per_chunk=max_trials_per_chunk,
-        compat_draw_order=compat_draw_order,
-        gaussian_dtype=gaussian_dtype,
     )
     study = MaskingStudy(
         watermark_amplitude_w=watermark_amplitude_w,
@@ -278,8 +249,6 @@ def run_starvation_study(
     seed: int = 0,
     trials_per_point: int = 1,
     max_trials_per_chunk: Optional[int] = None,
-    compat_draw_order: bool = True,
-    gaussian_dtype: Union[np.dtype, type, str] = np.float64,
 ) -> MaskingStudy:
     """Sweep the fraction of cycles in which the modulated clock gate may open.
 
@@ -313,8 +282,6 @@ def run_starvation_study(
         rng,
         detector,
         max_trials_per_chunk=max_trials_per_chunk,
-        compat_draw_order=compat_draw_order,
-        gaussian_dtype=gaussian_dtype,
     )
     study = MaskingStudy(
         watermark_amplitude_w=watermark_amplitude_w,

@@ -2,12 +2,11 @@
 
 A :class:`ScenarioSpec` is a frozen, JSON-serializable description of one
 experiment cell: which chip, which watermark configuration, which workload,
-the measurement/noise bench, the trial-synthesis knobs, the detection
-parameters and the seed.  The pipeline runner
-(:mod:`repro.pipeline.runner`) resolves a spec into chip → acquisition →
-synthesis → detection stages; nothing in a spec is executable, so specs can
-be hashed, diffed, stored next to result artifacts and replayed on another
-machine.
+the measurement/noise bench, the detection parameters and the seed.  The
+pipeline runner (:mod:`repro.pipeline.runner`) resolves a spec into chip →
+acquisition → synthesis → detection stages; nothing in a spec is
+executable, so specs can be hashed, diffed, stored next to result artifacts
+and replayed on another machine.
 
 ``spec_hash`` is a content hash of the canonical JSON form (sorted keys,
 no whitespace), so it is stable across processes and Python versions --
@@ -27,7 +26,6 @@ from repro.core.config import (
     DetectionConfig,
     ExperimentConfig,
     MeasurementConfig,
-    SynthesisConfig,
     WatermarkConfig,
 )
 
@@ -52,7 +50,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 #: code-version salt (:func:`repro.pipeline.store.code_version_salt`): a
 #: schema bump invalidates memoized results whose spec serialization
 #: changed meaning.
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 _SPEC_SCHEMA_VERSION = SPEC_SCHEMA_VERSION
 
@@ -107,7 +105,6 @@ class ScenarioSpec:
     watermark: WatermarkConfig = field(default_factory=WatermarkConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     watermark_active: bool = True
     seed: int = 0
     phase_offset: Optional[int] = None
@@ -225,7 +222,6 @@ class ScenarioSpec:
             "watermark": self.watermark.to_dict(),
             "measurement": self.measurement.to_dict(),
             "detection": self.detection.to_dict(),
-            "synthesis": self.synthesis.to_dict(),
             "watermark_active": self.watermark_active,
             "seed": self.seed,
             "phase_offset": self.phase_offset,
@@ -243,7 +239,7 @@ class ScenarioSpec:
             raise ValueError(f"unsupported spec schema version {version!r}")
         known = {
             "kind", "name", "chip", "workload", "watermark", "measurement",
-            "detection", "synthesis", "watermark_active", "seed",
+            "detection", "watermark_active", "seed",
             "phase_offset", "repetitions", "m0_window_cycles", "params",
         }
         unknown = set(payload) - known
@@ -262,7 +258,6 @@ class ScenarioSpec:
             watermark=WatermarkConfig.from_dict(payload.get("watermark", {})),
             measurement=MeasurementConfig.from_dict(payload.get("measurement", {})),
             detection=DetectionConfig.from_dict(payload.get("detection", {})),
-            synthesis=SynthesisConfig.from_dict(payload.get("synthesis", {})),
             watermark_active=payload.get("watermark_active", True),
             seed=payload.get("seed", 0),
             phase_offset=payload.get("phase_offset"),

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import DetectionConfig, SynthesisConfig
+from repro.core.config import DetectionConfig
 from repro.detection.batch import BatchCPADetector
 from repro.detection.metrics import estimate_required_cycles, expected_correlation
 from repro.power.synthesis import TraceSynthesizer
@@ -114,7 +114,6 @@ def run_detection_probability_campaign(
     seed: int = 0,
     max_trials_per_chunk: Optional[int] = None,
     chunk_cycles: Optional[int] = None,
-    synthesis: Optional[SynthesisConfig] = None,
 ) -> DetectionProbabilityCurve:
     """Monte-Carlo estimate of detection probability versus trace length.
 
@@ -137,29 +136,7 @@ def run_detection_probability_campaign(
     identical for any chunk size and the mean statistics agree to
     floating-point rounding.  ``chunk_cycles`` additionally bounds the
     column working set of the batched phase fold.
-
-    ``synthesis`` accepts the declarative
-    :class:`repro.core.config.SynthesisConfig` carried by a
-    :class:`repro.core.spec.ScenarioSpec`; it currently maps onto
-    ``max_trials_per_chunk`` (the campaign's rows always use the pinned
-    compat draw order) and is mutually exclusive with passing that
-    keyword directly.
     """
-    if synthesis is not None:
-        if max_trials_per_chunk is not None:
-            raise ValueError(
-                "pass max_trials_per_chunk either via 'synthesis' or as a "
-                "keyword, not both"
-            )
-        if not synthesis.compat_draw_order or synthesis.gaussian_dtype != "float64":
-            # Refuse rather than silently run a different path than the
-            # spec (and its hash/provenance stamp) claims.
-            raise ValueError(
-                "the detection-probability campaign always uses the pinned "
-                "compat draw order in float64; compat_draw_order=False / "
-                "gaussian_dtype overrides are not supported here"
-            )
-        max_trials_per_chunk = synthesis.max_trials_per_chunk
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 1 or len(sequence) < 3:
         raise ValueError("the watermark sequence must be a 1-D vector of at least 3 cycles")

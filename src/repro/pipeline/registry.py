@@ -19,7 +19,6 @@ from repro.core.config import (
     QUICK_REPETITIONS,
     DetectionConfig,
     MeasurementConfig,
-    SynthesisConfig,
     WatermarkConfig,
 )
 from repro.core.spec import ScenarioSpec
@@ -382,7 +381,6 @@ def _detection_probability(options: RunOptions) -> ScenarioSpec:
         name="detection-probability",
         watermark=WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D),
         detection=DetectionConfig(),
-        synthesis=SynthesisConfig(max_trials_per_chunk=25),
         seed=_seed(options, 1),
         params={
             "watermark_amplitude_w": 1.5e-3,
@@ -403,7 +401,6 @@ def _masking_noise(options: RunOptions) -> ScenarioSpec:
         kind="masking_noise",
         name="masking-noise",
         measurement=options.measurement(),
-        synthesis=SynthesisConfig(max_trials_per_chunk=25),
         seed=_seed(options, 0),
         params={"trials_per_point": 3 if options.quick else 5},
     )
@@ -419,7 +416,6 @@ def _masking_starvation(options: RunOptions) -> ScenarioSpec:
         kind="masking_starvation",
         name="masking-starvation",
         measurement=options.measurement(),
-        synthesis=SynthesisConfig(max_trials_per_chunk=25),
         seed=_seed(options, 0),
         params={"trials_per_point": 3 if options.quick else 5},
     )

@@ -617,6 +617,11 @@ def _robustness_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 # -- Campaign-style scenarios (beyond the paper's figures) -----------------------
 
+#: Trial rows a campaign stage synthesizes and detects at once.  Bounds
+#: memory only: every row keeps its per-trial draw order, so outcomes do
+#: not depend on it.
+_CAMPAIGN_TRIALS_PER_CHUNK = 25
+
 
 @stage_builder("detection_probability")
 def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
@@ -634,7 +639,7 @@ def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
             detection_config=spec.detection,
             base_power_w=spec.param("base_power_w", 5e-3),
             seed=spec.seed,
-            synthesis=spec.synthesis,
+            max_trials_per_chunk=_CAMPAIGN_TRIALS_PER_CHUNK,
         )
         points = sorted(curve.points, key=lambda p: p.num_cycles)
         ctx.finish(
@@ -662,11 +667,7 @@ def _detection_probability_stages(spec: ScenarioSpec) -> List[PipelineStage]:
 
 def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]:
     def sweep(ctx: StageContext) -> None:
-        from repro.analysis.masking import (
-            run_noise_masking_study,
-            run_starvation_study,
-            sweep_kwargs_from_synthesis,
-        )
+        from repro.analysis.masking import run_noise_masking_study, run_starvation_study
 
         spec = ctx.spec
         sequence = build_watermark(spec.watermark).sequence()
@@ -677,7 +678,7 @@ def _masking_stages(spec: ScenarioSpec, starvation: bool) -> List[PipelineStage]
             detection_config=spec.detection,
             seed=spec.seed,
             trials_per_point=spec.param("trials_per_point", 1),
-            **sweep_kwargs_from_synthesis(spec.synthesis),
+            max_trials_per_chunk=_CAMPAIGN_TRIALS_PER_CHUNK,
         )
         if starvation:
             study = run_starvation_study(

@@ -5,7 +5,7 @@ A :class:`ResultStore` persists every successful
 the spec's content hash *and* a code-version salt::
 
     key = sha256(spec.spec_hash() + "\\n" + salt)
-    salt = "commit=<HEAD>,spec-schema=v1,artifact-schema=v1"
+    salt = "commit=<HEAD>,spec-schema=v2,artifact-schema=v2"
 
 so a memoized cell is served again only while both the scenario *and* the
 code that produced it are unchanged -- a new commit (or a spec/artifact

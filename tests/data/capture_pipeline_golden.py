@@ -7,7 +7,10 @@ freezes the pipeline's current reports and array digests at the same fixed
 seeds and scales.  ``tests/test_pipeline_equivalence.py`` pins the pipeline
 against the captured output bit for bit.
 
-Usage:  PYTHONPATH=src python tests/data/capture_pipeline_golden.py
+The campaign scenarios (detection probability, noise and starvation
+masking) are captured from their registry specs at ``--quick`` scale.
+
+Usage:  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/capture_pipeline_golden.py
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ import numpy as np
 
 from repro.core.config import ExperimentConfig
 from repro.core.spec import ScenarioSpec
-from repro.pipeline import ExperimentRunner
+from repro.pipeline import DEFAULT_REGISTRY, ExperimentRunner, RunOptions
 
 OUT = pathlib.Path(__file__).with_name("pipeline_golden.json")
+
+#: Campaign scenarios pinned at their registry ``--quick`` specs.
+CAMPAIGNS = ("detection-probability", "masking-noise", "masking-starvation")
 
 
 def digest(array: np.ndarray) -> str:
@@ -90,6 +96,10 @@ def main() -> None:
 
     for name in ("table1", "table2", "robustness"):
         golden[name] = {"report": runner.run(name).payload.to_text(), "arrays": {}}
+
+    for name in CAMPAIGNS:
+        spec = DEFAULT_REGISTRY.build(name, RunOptions(quick=True))
+        golden[name] = {"report": runner.run(spec).report, "arrays": {}}
 
     OUT.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT} ({len(golden)} experiments)")

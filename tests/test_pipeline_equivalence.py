@@ -4,7 +4,8 @@
 drivers (``tests/data/capture_pipeline_golden.py``) at fixed seeds and quick
 scales.  Every paper figure and table now runs through the scenario
 pipeline; these tests prove the pipeline changed nothing: reports match
-character for character and arrays match bit for bit.
+character for character and arrays match bit for bit.  The campaign
+scenarios' reports are pinned at their registry ``--quick`` specs.
 """
 
 import hashlib
@@ -12,10 +13,11 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.spec import ScenarioSpec
-from repro.pipeline import run_scenario
+from repro.pipeline import DEFAULT_REGISTRY, RunOptions, run_scenario
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "pipeline_golden.json").read_text()
@@ -100,3 +102,14 @@ class TestAcquisitionExperimentsMatchGolden:
             m0_window_cycles=4_096,
         )
         assert run_scenario(spec).payload.to_text() == GOLDEN["fig6"]["report"]
+
+
+class TestCampaignScenariosMatchGolden:
+    """Campaign cells at their registry ``--quick`` specs."""
+
+    @pytest.mark.parametrize(
+        "name", ["detection-probability", "masking-noise", "masking-starvation"]
+    )
+    def test_report(self, name):
+        spec = DEFAULT_REGISTRY.build(name, RunOptions(quick=True))
+        assert run_scenario(spec).report == GOLDEN[name]["report"]

@@ -224,6 +224,23 @@ class TestSynthesizeTrials:
         )
         assert np.array_equal(actual, expected)
 
+    def test_compat_mode_bit_identical_to_per_row_stream(self, sequence):
+        """Trials must reproduce the per-row rng.normal stream."""
+        synthesizer = TraceSynthesizer.from_sequence(
+            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=15e-3, base_power_w=5e-3
+        )
+        trials, num_cycles = 6, 1200
+        period = len(sequence)
+        rng = np.random.default_rng(17)
+        tiled = np.tile(sequence, int(np.ceil((num_cycles + period) / period)))
+        expected = np.empty((trials, num_cycles))
+        for row in range(trials):
+            offset = int(rng.integers(0, period))
+            signal = 5e-3 + tiled[offset : offset + num_cycles] * 1.5e-3
+            expected[row] = signal + rng.normal(0.0, 15e-3, num_cycles)
+        actual = synthesizer.synthesize_trials(trials, num_cycles, np.random.default_rng(17))
+        assert np.array_equal(actual, expected)
+
     def test_validation(self, sequence):
         synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
         rng = np.random.default_rng(0)
@@ -240,127 +257,6 @@ class TestSynthesizeTrials:
         synthesizer = TraceSynthesizer.from_sequence(sequence, 1e-3, 1e-3)
         with pytest.raises(ValueError):
             synthesizer.synthesize_power(100)
-
-
-class TestFastGaussianPath:
-    """The chunked standard_normal path and the dtype knob."""
-
-    @pytest.fixture(scope="class")
-    def sequence(self):
-        return LFSR(width=7, seed=0x41).sequence().astype(np.float64)
-
-    @pytest.fixture(scope="class")
-    def synthesizer(self, sequence):
-        return TraceSynthesizer.from_sequence(
-            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=15e-3, base_power_w=5e-3
-        )
-
-    def test_compat_mode_bit_identical_to_per_row_stream(self, sequence, synthesizer):
-        """compat_draw_order=True must reproduce today's per-row rng.normal stream."""
-        trials, num_cycles = 6, 1200
-        period = len(sequence)
-        rng = np.random.default_rng(17)
-        tiled = np.tile(sequence, int(np.ceil((num_cycles + period) / period)))
-        expected = np.empty((trials, num_cycles))
-        for row in range(trials):
-            offset = int(rng.integers(0, period))
-            signal = 5e-3 + tiled[offset : offset + num_cycles] * 1.5e-3
-            expected[row] = signal + rng.normal(0.0, 15e-3, num_cycles)
-        actual = synthesizer.synthesize_trials(
-            trials, num_cycles, np.random.default_rng(17), compat_draw_order=True
-        )
-        assert np.array_equal(actual, expected)
-
-    def test_fast_path_matches_explicit_chunked_reference(self, sequence, synthesizer):
-        """The fast path's documented draw order: offsets, gates, noise matrix."""
-        trials, num_cycles = 5, 800
-        period = len(sequence)
-        rng = np.random.default_rng(23)
-        offsets = rng.integers(0, period, size=trials)
-        noise = rng.standard_normal(trials * num_cycles).reshape(trials, num_cycles)
-        tiled = np.tile(sequence, int(np.ceil((num_cycles + period) / period)))
-        expected = np.empty((trials, num_cycles))
-        for row in range(trials):
-            signal = 5e-3 + tiled[offsets[row] : offsets[row] + num_cycles] * 1.5e-3
-            expected[row] = noise[row] * 15e-3 + signal
-        actual = synthesizer.synthesize_trials(
-            trials, num_cycles, np.random.default_rng(23), compat_draw_order=False
-        )
-        assert np.array_equal(actual, expected)
-
-    def test_fast_path_deterministic_per_seed(self, synthesizer):
-        a = synthesizer.synthesize_trials(
-            4, 600, np.random.default_rng(5), compat_draw_order=False
-        )
-        b = synthesizer.synthesize_trials(
-            4, 600, np.random.default_rng(5), compat_draw_order=False
-        )
-        assert np.array_equal(a, b)
-
-    def test_fast_path_supports_starvation_gates(self, sequence, synthesizer):
-        trials, num_cycles = 4, 700
-        duties = [1.0, 0.5, 0.02, 1.0]
-        matrix = synthesizer.synthesize_trials(
-            trials,
-            num_cycles,
-            np.random.default_rng(31),
-            enable_duties=duties,
-            compat_draw_order=False,
-        )
-        assert matrix.shape == (trials, num_cycles)
-        assert np.all(np.isfinite(matrix))
-
-    def test_float32_dtype_knob(self, synthesizer):
-        matrix = synthesizer.synthesize_trials(
-            3, 500, np.random.default_rng(7), compat_draw_order=False, dtype=np.float32
-        )
-        assert matrix.dtype == np.float32
-        assert matrix.shape == (3, 500)
-        # The rows still carry the measurement model statistics.
-        assert abs(float(matrix.mean()) - 5e-3 - 1.5e-3 * float(np.mean(
-            synthesizer.sequence
-        ))) < 5e-3
-
-    def test_float32_out_buffer_filled_in_place(self, synthesizer):
-        out = np.empty((3, 400), dtype=np.float32)
-        result = synthesizer.synthesize_trials(
-            3,
-            400,
-            np.random.default_rng(9),
-            out=out,
-            compat_draw_order=False,
-            dtype=np.float32,
-        )
-        assert result is out
-        assert np.all(np.isfinite(out))
-
-    def test_invalid_dtype_rejected(self, synthesizer):
-        with pytest.raises(ValueError):
-            synthesizer.synthesize_trials(
-                2, 100, np.random.default_rng(0), dtype=np.int32
-            )
-
-    def test_float32_and_float64_reach_identical_decisions(self, sequence):
-        """Seeded campaign: the dtype knob must not flip detection decisions."""
-        synthesizer = TraceSynthesizer.from_sequence(
-            sequence, watermark_amplitude_w=1.5e-3, noise_sigma_w=4e-3, base_power_w=5e-3
-        )
-        trials, num_cycles = 12, 4000
-        detector = BatchCPADetector(DetectionConfig())
-        f64 = synthesizer.synthesize_trials(
-            trials, num_cycles, np.random.default_rng(41), compat_draw_order=False
-        )
-        f32 = synthesizer.synthesize_trials(
-            trials,
-            num_cycles,
-            np.random.default_rng(41),
-            compat_draw_order=False,
-            dtype=np.float32,
-        )
-        decisions64 = detector.detect_many(sequence, f64)
-        decisions32 = detector.detect_many(sequence, f32.astype(np.float64))
-        assert np.array_equal(decisions64.detected, decisions32.detected)
-        assert np.array_equal(decisions64.peak_rotations, decisions32.peak_rotations)
 
 
 class TestEndToEndDecisions:

@@ -7,13 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.config import (
-    DetectionConfig,
-    MeasurementConfig,
-    SynthesisConfig,
-    WatermarkConfig,
-)
-from repro.core.spec import ScenarioSpec
+from repro.core.config import DetectionConfig, MeasurementConfig, WatermarkConfig
+from repro.core.spec import SPEC_SCHEMA_VERSION, ScenarioSpec
 from repro.pipeline.artifacts import Provenance, ScenarioResult, SweepResult
 from repro.pipeline.runner import ExperimentRunner
 
@@ -27,9 +22,6 @@ def _rich_spec() -> ScenarioSpec:
         watermark=WatermarkConfig(lfsr_width=10, lfsr_seed=0x155, switching_registers=256),
         measurement=MeasurementConfig.quick(12_345),
         detection=DetectionConfig(detection_threshold=5.0, uniqueness_margin=0.9),
-        synthesis=SynthesisConfig(
-            compat_draw_order=False, gaussian_dtype="float32", max_trials_per_chunk=16
-        ),
         watermark_active=False,
         seed=42,
         phase_offset=1_234,
@@ -94,6 +86,20 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown ScenarioSpec fields"):
             ScenarioSpec.from_json_dict(payload)
 
+    def test_v1_payload_carrying_synthesis_rejected(self):
+        payload = _rich_spec().to_json_dict()
+        payload["schema_version"] = 1
+        payload["synthesis"] = {"max_trials_per_chunk": 25}
+        with pytest.raises(ValueError, match="unsupported spec schema version"):
+            ScenarioSpec.from_json_dict(payload)
+
+    def test_v2_payload_with_stray_synthesis_rejected(self):
+        payload = _rich_spec().to_json_dict()
+        assert payload["schema_version"] == SPEC_SCHEMA_VERSION == 2
+        payload["synthesis"] = {"max_trials_per_chunk": 25}
+        with pytest.raises(ValueError, match="unknown ScenarioSpec fields"):
+            ScenarioSpec.from_json_dict(payload)
+
     def test_params_are_frozen_and_order_insensitive(self):
         a = ScenarioSpec(kind="table2", params={"x": 1, "y": [1, 2]})
         b = ScenarioSpec(kind="table2", params={"y": [1, 2], "x": 1})
@@ -125,9 +131,8 @@ class TestConfigSerialization:
             WatermarkConfig(lfsr_width=8, lfsr_seed=0x2D, switching_registers=128),
             MeasurementConfig.quick(9_999),
             DetectionConfig(detection_threshold=6.0),
-            SynthesisConfig(gaussian_dtype="float32"),
         ],
-        ids=["watermark", "measurement", "detection", "synthesis"],
+        ids=["watermark", "measurement", "detection"],
     )
     def test_round_trip(self, config):
         assert type(config).from_dict(config.to_dict()) == config
@@ -135,10 +140,6 @@ class TestConfigSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown WatermarkConfig fields"):
             WatermarkConfig.from_dict({"lfsr_width": 12, "bogus": 1})
-
-    def test_synthesis_dtype_validated(self):
-        with pytest.raises(ValueError, match="gaussian_dtype"):
-            SynthesisConfig(gaussian_dtype="float16")
 
 
 class TestScenarioResultArtifacts:
