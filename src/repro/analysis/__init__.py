@@ -2,7 +2,6 @@
 plus repro-lint, the static determinism & cache-safety analyzer
 (``python -m repro.analysis``)."""
 
-from repro.analysis.area import AreaModel, AreaBreakdown
 from repro.analysis.engine import (
     Finding,
     LintModule,
@@ -38,11 +37,6 @@ from repro.analysis.masking import (
     run_noise_masking_study,
     run_starvation_study,
 )
-from repro.analysis.operating_point import (
-    CornerResult,
-    OperatingPointStudy,
-    run_operating_point_study,
-)
 
 __all__ = [
     "ALL_RULES",
@@ -55,15 +49,10 @@ __all__ = [
     "render_json",
     "render_text",
     "unsuppressed",
-    "CornerResult",
-    "OperatingPointStudy",
-    "run_operating_point_study",
     "MaskingPoint",
     "MaskingStudy",
     "run_noise_masking_study",
     "run_starvation_study",
-    "AreaModel",
-    "AreaBreakdown",
     "OverheadRow",
     "OverheadTable",
     "area_overhead_reduction",

@@ -8,7 +8,6 @@ The committed baseline (``src/repro/analysis/baseline.json``) is applied
 automatically when it exists; ``--no-baseline`` shows everything raw and
 ``--update-baseline`` regenerates the file from the current findings
 (new entries get an empty justification the committer must write).
-``--cache-dir`` enables the incremental per-file result cache;
 ``--sarif``/``--format=sarif`` emit SARIF 2.1.0 for code scanning.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -25,7 +23,6 @@ from repro.analysis.baseline import (
     default_baseline_path,
     update_baseline,
 )
-from repro.analysis.cache import LintCache, rules_signature
 from repro.analysis.engine import (
     Rule,
     iter_python_files,
@@ -123,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the baseline from the current findings and exit",
     )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="directory for the incremental per-file result cache",
-    )
     return parser
 
 
@@ -154,17 +146,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(error, file=sys.stderr)
         return USAGE_EXIT
 
-    cache: Optional[LintCache] = None
-    if options.cache_dir:
-        cache = LintCache(Path(options.cache_dir), rules_signature(rules))
-
-    started = time.perf_counter()
     try:
-        findings, files_checked = lint_paths(options.paths, rules, cache=cache)
+        findings, files_checked = lint_paths(options.paths, rules)
     except FileNotFoundError as error:
         print(f"repro-lint: {error}", file=sys.stderr)
         return USAGE_EXIT
-    elapsed = time.perf_counter() - started
 
     baseline_path: Optional[Path] = None
     if not options.no_baseline:
@@ -187,12 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if options.sarif:
         Path(options.sarif).write_text(render_sarif(findings, rules) + "\n")
-    if cache is not None:
-        print(
-            f"repro-lint: cache {cache.hits} hit(s), {cache.misses} miss(es), "
-            f"{elapsed:.3f}s",
-            file=sys.stderr,
-        )
     if options.format == "json":
         print(render_json(findings, files_checked))
     elif options.format == "sarif":

@@ -38,7 +38,10 @@ import json
 import re
 import tokenize
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.analysis.project import ModuleSummary
 
 __all__ = [
     "Finding",
@@ -89,23 +92,6 @@ class Finding:
             "suppression_reason": self.suppression_reason,
             "baselined": self.baselined,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_json_dict` (the cache deserializer)."""
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            suppressed=bool(data["suppressed"]),
-            suppression_reason=(
-                None
-                if data.get("suppression_reason") is None
-                else str(data["suppression_reason"])
-            ),
-            baselined=bool(data.get("baselined", False)),
-        )
 
 
 @dataclasses.dataclass
@@ -269,17 +255,16 @@ def lint_module(
 
 @dataclasses.dataclass
 class ModuleRecord:
-    """The per-module result of the module pass (what the cache persists).
+    """The per-module result of the module pass (the project pass's input).
 
-    ``summary`` is the serializable project digest
-    (:class:`repro.analysis.project.ModuleSummary`), ``None`` when the
-    file did not parse.
+    ``summary`` is the project digest, ``None`` when the file did not
+    parse.
     """
 
     logical_path: str
     findings: List[Finding]
     pragmas: Dict[Tuple[int, str], str]
-    summary: Optional[object]
+    summary: Optional[ModuleSummary]
 
 
 def _known_ids(active: Sequence[Rule]) -> set:
@@ -339,7 +324,7 @@ def _finish_project(
     records: Sequence[ModuleRecord], active: Sequence[Rule]
 ) -> List[Finding]:
     """Project rules + the DEAD001 stale-pragma audit over all records."""
-    from repro.analysis.project import LintProject, ModuleSummary, ProjectRule
+    from repro.analysis.project import LintProject, ProjectRule
     from repro.analysis.rules_concurrency import StalePragmaRule
 
     per_path: Dict[str, List[Finding]] = {
@@ -349,15 +334,9 @@ def _finish_project(
 
     project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
     if project_rules:
-        summaries = []
-        for record in records:
-            if record.summary is None:
-                continue
-            summary = record.summary
-            if isinstance(summary, dict):  # cache round-trip
-                summary = ModuleSummary.from_json_dict(summary)
-            summaries.append(summary)
-        project = LintProject(summaries)
+        project = LintProject(
+            record.summary for record in records if record.summary is not None
+        )
         for rule in project_rules:
             for path, line, message in rule.check_project(project):
                 record = by_path.get(path)
@@ -445,31 +424,19 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
 def lint_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[object] = None,
 ) -> Tuple[List[Finding], int]:
     """Lint every Python file under ``paths``.
 
     Returns ``(findings, files_checked)``.  A missing path raises
     :class:`FileNotFoundError` (a CI job must not silently lint nothing);
     an unparseable file becomes a ``LINT001`` finding.
-
-    ``cache`` is an optional :class:`repro.analysis.cache.LintCache`: hits
-    skip the parse + per-module rule pass for unchanged files entirely
-    (project rules always re-run, over the cached summaries).
     """
     active = list(rules) if rules is not None else list(_default_rules())
     known = _known_ids(active)
     files = iter_python_files(paths)
-    records: List[ModuleRecord] = []
-    for path in files:
-        record: Optional[ModuleRecord] = None
-        if cache is not None:
-            record = cache.lookup(path)  # type: ignore[attr-defined]
-        if record is None:
-            record = _module_pass(path.read_text(), str(path), active, known)
-            if cache is not None:
-                cache.store(path, record)  # type: ignore[attr-defined]
-        records.append(record)
+    records = [
+        _module_pass(path.read_text(), str(path), active, known) for path in files
+    ]
     return _finish_project(records, active), len(files)
 
 

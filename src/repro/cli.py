@@ -692,6 +692,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--cycles must be positive")
     if getattr(args, "repetitions", None) is not None and args.repetitions <= 0:
         parser.error("--repetitions must be positive")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error("--seed must be non-negative")
+    if getattr(args, "grid_seeds", None) is not None and any(
+        seed < 0 for seed in args.grid_seeds
+    ):
+        parser.error("--grid-seeds values must be non-negative")
     if getattr(args, "workers", None) is not None and args.workers <= 0:
         parser.error("--workers must be positive")
     if getattr(args, "grid_lengths", None) is not None and any(

@@ -34,11 +34,8 @@ from repro.core.config import (
     ExperimentConfig,
 )
 from repro.core.embedding import EmbeddedWatermark, embed_baseline, embed_clock_modulation
-from repro.core.multi import MultiWatermarkSystem, VendorWatermark
 
 __all__ = [
-    "MultiWatermarkSystem",
-    "VendorWatermark",
     "LFSR",
     "CircularShiftRegister",
     "SequenceGenerator",

@@ -92,15 +92,6 @@ class WatermarkArchitecture(abc.ABC):
         controls contributes, including reused host cells.
         """
 
-    def added_cell_inventory(self) -> Dict[str, int]:
-        """Cell counts of the hardware the watermark *adds* to the design.
-
-        Differs from :meth:`cell_inventory` for the clock-modulation
-        architecture in its intended end application, where an existing IP
-        sub-module is reused and only the WGC is new.
-        """
-        return self.cell_inventory()
-
     # -- shared behaviour -----------------------------------------------------
 
     @property
@@ -372,13 +363,6 @@ class ClockModulationWatermark(WatermarkArchitecture):
         for cell_type, count in self.modulated_block.cell_inventory().items():
             inventory[cell_type] = inventory.get(cell_type, 0) + count
         return inventory
-
-    def added_cell_inventory(self) -> Dict[str, int]:
-        if self.modulated_block.register_count == 0:
-            # The modulated sub-module already exists in the host design;
-            # only the WGC is new hardware.
-            return dict(self.wgc.cell_inventory())
-        return self.cell_inventory()
 
 
 def build_watermark(config: Optional[WatermarkConfig] = None) -> WatermarkArchitecture:

@@ -130,6 +130,10 @@ class ScenarioSpec:
             from repro.soc.registry import canonical_chip_name
 
             object.__setattr__(self, "chip", canonical_chip_name(self.chip))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
         if self.m0_window_cycles <= 0:

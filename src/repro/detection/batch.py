@@ -2,7 +2,7 @@
 
 Every study this repository runs on top of the paper's single detection --
 detection-probability curves, repeatability box plots, masking/robustness
-sweeps, multi-vendor audits -- multiplies one CPA evaluation by hundreds of
+sweeps -- multiplies one CPA evaluation by hundreds of
 Monte-Carlo trials.  This module makes "N traces at once" the native shape
 of the detector:
 

@@ -1,7 +1,7 @@
 """Synthetic standard-cell library.
 
 The library stores, per cell class, the switching energy of the relevant
-node transitions, the leakage power and the cell area.  Values are
+node transitions and the leakage power.  Values are
 calibrated to the only two numbers the paper publishes for its TSMC 65 nm
 low-leakage flow (Section V):
 
@@ -46,7 +46,6 @@ class CellCharacteristics:
     data_toggle_energy_j: float
     comb_toggle_energy_j: float
     leakage_w: float
-    area_um2: float
 
     def __post_init__(self) -> None:
         for attr in (
@@ -54,7 +53,6 @@ class CellCharacteristics:
             "data_toggle_energy_j",
             "comb_toggle_energy_j",
             "leakage_w",
-            "area_um2",
         ):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be non-negative")
@@ -86,25 +84,18 @@ class CellLibrary:
         """Names of the cell classes in the library."""
         return self.cells.keys()
 
-    def area_of(self, cell_type: str, count: int = 1) -> float:
-        """Total area in um^2 of ``count`` cells of ``cell_type``."""
-        if count < 0:
-            raise ValueError("cell count must be non-negative")
-        return self.cell(cell_type).area_um2 * count
-
 
 def _build_tsmc65lp_like() -> CellLibrary:
     """Build the default 65 nm low-leakage-class library."""
     cells = {
         # Flip-flop: clock-pin energy and data (Q/internal) energy match the
-        # paper's per-register figures; area is typical for a 65 nm DFF.
+        # paper's per-register figures.
         "dff": CellCharacteristics(
             name="dff",
             clock_toggle_energy_j=CLOCK_TOGGLE_ENERGY_J,
             data_toggle_energy_j=DATA_TOGGLE_ENERGY_J,
             comb_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.5,
             leakage_w=0.38e-9,
-            area_um2=5.2,
         ),
         # Integrated clock gate: its own gated-clock root node costs about a
         # buffer transition; leakage slightly higher than a DFF latch.
@@ -114,7 +105,6 @@ def _build_tsmc65lp_like() -> CellLibrary:
             data_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.5,
             comb_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.3,
             leakage_w=0.45e-9,
-            area_um2=7.0,
         ),
         # Explicit clock-tree buffer (CTS-inserted).
         "clk_buf": CellCharacteristics(
@@ -123,7 +113,6 @@ def _build_tsmc65lp_like() -> CellLibrary:
             data_toggle_energy_j=0.0,
             comb_toggle_energy_j=0.0,
             leakage_w=0.25e-9,
-            area_um2=2.6,
         ),
         # Generic combinational gate (NAND2-equivalent).
         "comb": CellCharacteristics(
@@ -132,7 +121,6 @@ def _build_tsmc65lp_like() -> CellLibrary:
             data_toggle_energy_j=0.0,
             comb_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.35,
             leakage_w=0.15e-9,
-            area_um2=1.44,
         ),
         # Register bank composite (1 DFF-equivalent per bit plus ICGs is
         # handled structurally, but a bank seen as a single instance uses
@@ -143,7 +131,6 @@ def _build_tsmc65lp_like() -> CellLibrary:
             data_toggle_energy_j=DATA_TOGGLE_ENERGY_J,
             comb_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.3,
             leakage_w=0.38e-9,
-            area_um2=5.2,
         ),
         # SRAM bit-cell-array macro (per accessed word activity accounted as
         # data toggles by the SoC model).
@@ -153,7 +140,6 @@ def _build_tsmc65lp_like() -> CellLibrary:
             data_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 1.4,
             comb_toggle_energy_j=DATA_TOGGLE_ENERGY_J * 0.4,
             leakage_w=0.05e-9,
-            area_um2=0.52,
         ),
     }
     return CellLibrary(name="tsmc65lp-like", voltage_v=REFERENCE_VOLTAGE_V, cells=cells)

@@ -1,9 +1,9 @@
 """Vectorized trace synthesis: watermarked power traces as array operations.
 
-The cycle-accurate simulator (:mod:`repro.rtl.simulator`) steps every block
-once per clock cycle in Python, which makes trace *generation* the dominant
-cost of 100k--300k-cycle acquisitions now that detection is batched
-(:mod:`repro.detection.batch`).  The watermark circuits are strictly
+The cycle-accurate reference -- the blocks' ``step()`` methods -- steps
+every block once per clock cycle in Python, which makes trace *generation*
+the dominant cost of 100k--300k-cycle acquisitions now that detection is
+batched (:mod:`repro.detection.batch`).  The watermark circuits are strictly
 periodic, so their per-cycle behaviour is fully characterised by one period
 of cycle-accurate stepping; everything past that period is pure indexing.
 
@@ -21,10 +21,10 @@ It stacks three layers:
    ``Y = base + a * X(rotated) + N(0, sigma)`` that feed straight into
    :meth:`repro.detection.batch.BatchCPADetector.detect_many`.
 
-The per-cycle simulator stays as the golden reference: every fast path here
-is bit-identical to stepping cycle by cycle (pinned by the equivalence
-suite in ``tests/test_power_synthesis.py``), so experiments keep their
-numbers while the generation side runs orders of magnitude faster.
+The per-cycle ``step()`` methods stay as the golden reference: every fast
+path here is bit-identical to stepping cycle by cycle (pinned by the
+equivalence suite in ``tests/test_power_synthesis.py``), so experiments keep
+their numbers while the generation side runs orders of magnitude faster.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Per-cycle switching-activity records.
 
 Dynamic power in CMOS is proportional to the number of node transitions per
-cycle.  The simulator therefore reduces every component to three per-cycle
+cycle.  The RTL model therefore reduces every component to three per-cycle
 counters:
 
 ``clock_toggles``
@@ -19,7 +19,7 @@ using per-cell coefficients from the synthetic 65 nm library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -174,50 +174,3 @@ class ActivityTrace:
             comb_toggles=int(round(float(np.mean(self.comb_toggles)))),
         )
 
-
-class ActivityAccumulator:
-    """Incremental builder of per-component activity traces.
-
-    The cycle simulator appends one :class:`ActivityRecord` per component per
-    cycle; :meth:`finalize` converts the accumulated lists to
-    :class:`ActivityTrace` objects.
-    """
-
-    def __init__(self) -> None:
-        self._records: Dict[str, List[ActivityRecord]] = {}
-        self._num_cycles = 0
-
-    @property
-    def num_cycles(self) -> int:
-        """Number of cycles recorded so far."""
-        return self._num_cycles
-
-    def record(self, component_name: str, activity: ActivityRecord) -> None:
-        """Record ``activity`` for ``component_name`` in the current cycle.
-
-        A component that first reports after some cycles have already
-        elapsed is back-filled with idle records so its trace stays aligned
-        with the global cycle count.
-        """
-        records = self._records.setdefault(component_name, [])
-        while len(records) < self._num_cycles:
-            records.append(ZERO_ACTIVITY)
-        records.append(activity)
-
-    def end_cycle(self) -> None:
-        """Close the current cycle, padding components that did not report."""
-        self._num_cycles += 1
-        for name, records in self._records.items():
-            while len(records) < self._num_cycles:
-                records.append(ZERO_ACTIVITY)
-
-    def finalize(self) -> Dict[str, ActivityTrace]:
-        """Return the accumulated traces keyed by component name."""
-        return {
-            name: ActivityTrace.from_records(name, records)
-            for name, records in self._records.items()
-        }
-
-    def component_names(self) -> List[str]:
-        """Names of all components that reported at least once."""
-        return sorted(self._records)

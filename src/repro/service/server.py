@@ -264,7 +264,6 @@ class DetectionService:
                     f"unknown scenario {scenario!r}; registered: "
                     f"{', '.join(DEFAULT_REGISTRY.names())}",
                 )
-            spec = DEFAULT_REGISTRY.build(scenario, options)
         else:
             try:
                 spec = ScenarioSpec.from_json_dict(payload["spec"])
@@ -272,8 +271,11 @@ class DetectionService:
                 raise ServiceError(
                     400, "bad_request", f"invalid spec document: {error}"
                 ) from error
-            spec = options.apply_to(spec)
         try:
+            if scenario is not None:
+                spec = DEFAULT_REGISTRY.build(scenario, options)
+            else:
+                spec = options.apply_to(spec)
             if "chip" in overrides:
                 spec = spec.with_chip(str(overrides["chip"]))
             if "noise_scale" in overrides:

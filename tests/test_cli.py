@@ -119,6 +119,20 @@ class TestRegistryCommands:
             main(["run", "fig99"])
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig3", "--quick", "--seed", "-1"], "--seed must be non-negative"),
+            (["sweep", "fig2", "--grid-seeds", "1", "-2"], "--grid-seeds values"),
+        ],
+        ids=["run-seed", "sweep-grid-seeds"],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_seed_flag_changes_the_spec(self, tmp_path, capsys):
         default_path = tmp_path / "default.json"
         seeded_path = tmp_path / "seeded.json"

@@ -1,4 +1,5 @@
-"""Package-level guards: import layering and runnable docstring examples."""
+"""Package-level guards: import layering, module reachability and runnable
+docstring examples."""
 
 import ast
 import doctest
@@ -7,7 +8,6 @@ import pathlib
 import pytest
 
 import repro
-import repro.rtl.simulator
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
@@ -67,9 +67,58 @@ def test_import_scan_sees_relative_and_from_imports(tmp_path):
     assert flagged == [1, 2, 3]
 
 
-@pytest.mark.parametrize(
-    "module", [repro, repro.rtl.simulator], ids=lambda module: module.__name__
+#: What a user or a deployment can run: the CLI, the scenario registry, the
+#: detection service and its client, repro-lint, and the module the
+#: benchmark harness imports.
+ENTRY_POINTS = (
+    "repro.cli",
+    "repro.__main__",
+    "repro.pipeline.registry",
+    "repro.service.server",
+    "repro.service.client",
+    "repro.analysis.__main__",
+    "repro.experiments.common",
 )
+
+
+def _unreachable(root: pathlib.Path, entry_points) -> list:
+    """Non-package modules under ``root`` that no import chain from
+    ``entry_points`` reaches.  A package ``__init__`` is reached but its own
+    imports are not followed: a re-export does not make a module live."""
+    modules = {_module_name(path, root): path for path in root.rglob("*.py")}
+    reached, pending = set(), list(entry_points)
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        path = modules[name]
+        if path.name != "__init__.py":
+            pending.extend(n for _, n in _imported_names(path, root) if n in modules)
+    return sorted(
+        name
+        for name, path in modules.items()
+        if path.name != "__init__.py" and name not in reached
+    )
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    # Wire an unreached module into a scenario, the service or the CLI,
+    # or delete it.
+    assert _unreachable(SRC, ENTRY_POINTS) == []
+
+
+def test_reachability_ignores_package_reexports(tmp_path):
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "__init__.py").write_text("from repro.orphan import thing\n")
+    (package / "cli.py").write_text("from repro import live\n")
+    (package / "live.py").write_text("")
+    (package / "orphan.py").write_text("thing = 1\n")
+    assert _unreachable(package, ["repro.cli"]) == ["repro.orphan"]
+
+
+@pytest.mark.parametrize("module", [repro], ids=lambda module: module.__name__)
 def test_docstring_examples_run(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -34,7 +34,6 @@ class TestCellCharacteristics:
                 data_toggle_energy_j=0.0,
                 comb_toggle_energy_j=0.0,
                 leakage_w=0.0,
-                area_um2=1.0,
             )
 
 
@@ -46,13 +45,6 @@ class TestCellLibrary:
     def test_unknown_cell_falls_back_to_comb(self):
         cell = TSMC65LP_LIKE.cell("weird_macro")
         assert cell.name == "comb"
-
-    def test_area_lookup(self):
-        assert TSMC65LP_LIKE.area_of("dff", 100) == pytest.approx(520.0)
-
-    def test_negative_area_count_rejected(self):
-        with pytest.raises(ValueError):
-            TSMC65LP_LIKE.area_of("dff", -1)
 
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rtl.activity import ActivityAccumulator, ActivityRecord, ActivityTrace, ZERO_ACTIVITY
+from repro.rtl.activity import ActivityRecord, ActivityTrace, ZERO_ACTIVITY
 
 
 class TestActivityRecord:
@@ -75,31 +75,3 @@ class TestActivityTrace:
     def test_mean_record_empty(self):
         assert ActivityTrace.zeros("t", 0).mean_record() == ZERO_ACTIVITY
 
-
-class TestActivityAccumulator:
-    def test_records_are_padded_per_cycle(self):
-        accumulator = ActivityAccumulator()
-        accumulator.record("a", ActivityRecord(1, 0, 0))
-        accumulator.end_cycle()
-        accumulator.record("a", ActivityRecord(2, 0, 0))
-        accumulator.record("b", ActivityRecord(0, 3, 0))
-        accumulator.end_cycle()
-        traces = accumulator.finalize()
-        assert len(traces["a"]) == 2
-        assert len(traces["b"]) == 2
-        assert traces["b"][0].total_toggles == 0
-        assert traces["b"][1].data_toggles == 3
-
-    def test_component_names_sorted(self):
-        accumulator = ActivityAccumulator()
-        accumulator.record("z", ZERO_ACTIVITY)
-        accumulator.record("a", ZERO_ACTIVITY)
-        accumulator.end_cycle()
-        assert accumulator.component_names() == ["a", "z"]
-
-    def test_num_cycles(self):
-        accumulator = ActivityAccumulator()
-        accumulator.record("a", ZERO_ACTIVITY)
-        accumulator.end_cycle()
-        accumulator.end_cycle()
-        assert accumulator.num_cycles == 2

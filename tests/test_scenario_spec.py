@@ -80,6 +80,14 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown workload"):
             ScenarioSpec(kind="fig3", chip="chip1", workload="whetstone")
 
+    @pytest.mark.parametrize(
+        "seed, error",
+        [(-1, ValueError), ("x", TypeError), (1.0, TypeError), (True, TypeError)],
+    )
+    def test_bad_seed_rejected(self, seed, error):
+        with pytest.raises(error, match="seed must be"):
+            ScenarioSpec(kind="fig3", chip="chip1", seed=seed)
+
     def test_unknown_field_rejected_on_load(self):
         payload = _rich_spec().to_json_dict()
         payload["turbo"] = True

@@ -476,6 +476,21 @@ def test_unknown_scenario_is_a_404(client):
     assert excinfo.value.code == "unknown_scenario"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"quick": True, "seed": -1}, {"seed": "x"}, {"cycles": -5}],
+    ids=["negative-seed", "string-seed", "negative-cycles"],
+)
+def test_bad_override_value_is_a_400_and_logs_nothing(live_server, client, overrides):
+    ledger = live_server.service.ledger
+    records_before = ledger.count
+    with pytest.raises(ServiceHTTPError) as excinfo:
+        client.verify(scenario="fig3", overrides=overrides)
+    assert excinfo.value.status == 400
+    assert excinfo.value.code == "bad_request"
+    assert ledger.count == records_before
+
+
 def test_unknown_route_and_wrong_method(client):
     with pytest.raises(ServiceHTTPError) as excinfo:
         client._get("/nope")
