@@ -1,18 +1,11 @@
-"""Area, overhead and robustness analysis (Sections V and VI of the paper),
-plus repro-lint, the static determinism & cache-safety analyzer
-(``python -m repro.analysis``)."""
+"""Area, overhead and robustness analysis (Sections V and VI of the paper).
 
-from repro.analysis.engine import (
-    Finding,
-    LintModule,
-    Rule,
-    lint_paths,
-    lint_source,
-    render_json,
-    render_text,
-    unsuppressed,
-)
-from repro.analysis.rules import ALL_RULES, RULE_INDEX
+The package also holds repro-lint, the static determinism & cache-safety
+analyzer (``python -m repro.analysis``).  Its engine and rules are imported
+from their submodules, never from here, so that loading the analysis
+passes does not load the linter.
+"""
+
 from repro.analysis.overhead import (
     OverheadRow,
     OverheadTable,
@@ -39,16 +32,6 @@ from repro.analysis.masking import (
 )
 
 __all__ = [
-    "ALL_RULES",
-    "RULE_INDEX",
-    "Finding",
-    "LintModule",
-    "Rule",
-    "lint_paths",
-    "lint_source",
-    "render_json",
-    "render_text",
-    "unsuppressed",
     "MaskingPoint",
     "MaskingStudy",
     "run_noise_masking_study",

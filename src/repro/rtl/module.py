@@ -135,7 +135,7 @@ class Module:
         for path, component, role in self.iter_components():
             # Store under the hierarchical path but keep the component object;
             # paths are unique by construction.
-            netlist.graph.add_node(path, component=component, role=role, module=self.name)
+            netlist.add_component(component, role=role, module=self.name, instance=path)
         self._flatten_connections(netlist, prefix="")
         return netlist
 
@@ -144,12 +144,12 @@ class Module:
         for source, target, net in self.connections:
             src_path = f"{base}/{source}"
             dst_path = f"{base}/{target}"
-            if src_path not in netlist.graph or dst_path not in netlist.graph:
+            if src_path not in netlist or dst_path not in netlist:
                 raise KeyError(
                     f"connection {source!r} -> {target!r} in module {self.name!r} "
                     "references unknown instances"
                 )
-            netlist.graph.add_edge(src_path, dst_path, net=net or f"{src_path}->{dst_path}")
+            netlist.connect(src_path, dst_path, net=net)
         for child in self.children.values():
             child._flatten_connections(netlist, prefix=f"{base}/")
 

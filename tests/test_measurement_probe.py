@@ -1,10 +1,5 @@
 """Unit tests for repro.measurement.probe."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -54,14 +49,3 @@ class TestDifferentialProbe:
         with pytest.raises(ValueError):
             DifferentialProbe().apply(np.zeros(4), sampling_frequency_hz=0.0)
 
-
-def test_importing_repro_does_not_load_scipy():
-    # SciPy serves only the opt-in detailed acquisition path; loading it
-    # with the package would cost every interpreter over a second.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, repro, repro.pipeline.runner; print('scipy' in sys.modules)"
-    output = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert output.stdout.strip() == "False"

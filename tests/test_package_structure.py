@@ -1,9 +1,13 @@
-"""Package-level guards: import layering, module reachability and runnable
-docstring examples."""
+"""Package-level guards: import layering, module reachability, runtime
+dependencies and runnable docstring examples."""
 
 import ast
 import doctest
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +120,51 @@ def test_reachability_ignores_package_reexports(tmp_path):
     (package / "live.py").write_text("")
     (package / "orphan.py").write_text("thing = 1\n")
     assert _unreachable(package, ["repro.cli"]) == ["repro.orphan"]
+
+
+def _run_probe(code: str):
+    """Run ``code`` in a fresh interpreter on ``src`` and parse the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    output = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(output.stdout)
+
+
+def test_entry_points_load_only_numpy():
+    # setup.py declares numpy as the only runtime dependency; SciPy, for one,
+    # serves only the opt-in detailed acquisition path and would cost every
+    # interpreter over a second.  Modules the interpreter loaded before the
+    # imports (site hooks) do not count.
+    loaded = _run_probe(
+        "import importlib, json, sys\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        f"for entry in {list(ENTRY_POINTS)!r}:\n"
+        "    importlib.import_module(entry)\n"
+        "after = {name.partition('.')[0] for name in sys.modules}\n"
+        "new = after - before - set(sys.stdlib_module_names)\n"
+        "print(json.dumps(sorted(name for name in new if not name.startswith('__'))))\n"
+    )
+    assert set(loaded) - {"repro"} <= {"numpy"}
+
+
+def test_robustness_runs_without_networkx_or_the_linter():
+    # The removal attack walks the netlist with the standard library alone,
+    # and the pipeline does not load repro-lint's rule packs.
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "pipeline_golden.json").read_text())
+    result = _run_probe(
+        "import json, sys\n"
+        "class RefuseNetworkx:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'networkx':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, RefuseNetworkx())\n"
+        "import repro, repro.pipeline.registry, repro.pipeline.runner\n"
+        "lint_loaded = 'repro.analysis.rules' in sys.modules\n"
+        "report = repro.pipeline.runner.ExperimentRunner().run('robustness').payload.to_text()\n"
+        "print(json.dumps({'lint_loaded': lint_loaded, 'report': report}))\n"
+    )
+    assert result == {"lint_loaded": False, "report": golden["robustness"]["report"]}
 
 
 @pytest.mark.parametrize("module", [repro], ids=lambda module: module.__name__)

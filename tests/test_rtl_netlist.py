@@ -1,26 +1,31 @@
 """Unit tests for repro.rtl.netlist."""
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
-from repro.rtl.components import ClockGate, CombinationalBlock, Register
+from repro.rtl.components import Register
 from repro.rtl.netlist import Netlist
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "capture_netlist_structure", DATA / "capture_netlist_structure.py"
+)
+capture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(capture)
+
+#: Structure captured from the graph-library implementation the netlist
+#: replaced, with ``tests/data/capture_netlist_structure.py``.
+GOLDEN = json.loads((DATA / "netlist_structure.json").read_text())
 
 
 @pytest.fixture
 def simple_netlist() -> Netlist:
     """clk_ctrl -> icg -> reg -> logic, plus an isolated watermark pair."""
-    netlist = Netlist("design")
-    netlist.add_component(CombinationalBlock("clk_ctrl", gate_count=4), role="functional")
-    netlist.add_component(ClockGate("icg"), role="functional")
-    netlist.add_component(Register("reg", width=8), role="functional")
-    netlist.add_component(CombinationalBlock("logic", gate_count=10), role="functional")
-    netlist.add_component(Register("wm_lfsr", width=12), role="watermark")
-    netlist.add_component(Register("wm_load", width=64), role="watermark")
-    netlist.connect("clk_ctrl", "icg", net="en")
-    netlist.connect("icg", "reg", net="gclk")
-    netlist.connect("reg", "logic", net="q")
-    netlist.connect("wm_lfsr", "wm_load", net="wmark")
-    return netlist
+    return capture.simple_netlist()
 
 
 class TestNetlistConstruction:
@@ -96,3 +101,23 @@ class TestNetlistStructure:
     def test_subgraph_stats(self, simple_netlist):
         stats = simple_netlist.subgraph_stats(["wm_lfsr", "wm_load"])
         assert stats == {"instances": 2, "registers": 76, "cells": 76}
+
+
+class TestNetlistStructureGolden:
+    @pytest.mark.parametrize("name", ["baseline", "clock_modulation"])
+    def test_robustness_netlist_matches_capture(self, name):
+        netlist = capture.robustness_netlists()[name]
+        assert capture.structure(netlist) == GOLDEN["robustness"][name]
+
+    def test_dangling_inputs_after_removals_match_capture(self):
+        assert capture.dangling_after_removals() == GOLDEN["simple_netlist"]
+
+    def test_reconnecting_a_pair_renames_its_net_in_place(self, simple_netlist):
+        simple_netlist.connect("reg", "logic", net="q2")
+        assert [edge.net for edge in simple_netlist.edges()] == ["en", "gclk", "q2", "wmark"]
+
+    def test_structural_queries_reject_unknown_instances(self, simple_netlist):
+        with pytest.raises(KeyError):
+            simple_netlist.reachable_from(["ghost"])
+        with pytest.raises(KeyError):
+            simple_netlist.cone_of_influence(["ghost"])
