@@ -51,25 +51,35 @@ def default_baseline_path() -> Path:
     return Path(__file__).resolve().parent / "baseline.json"
 
 
-def _canonical(path_str: str) -> str:
+def _repo_root() -> Path:
+    """The checkout the committed baseline belongs to (``src/repro/analysis/..``)."""
+    return default_baseline_path().parents[3]
+
+
+def _canonical(path_str: str, base: Optional[Path] = None) -> str:
     """Absolute resolved form of a path, for entry<->finding matching.
 
-    The baseline stores repo-relative paths; findings may carry absolute
-    ones (the test suite lints ``str(SRC)``).  Both resolve to the same
-    canonical string when run from the repo root.
+    Finding paths are as the linter was given them, so a relative one
+    resolves against the cwd.  Baseline entries store repo-relative paths
+    and resolve against :func:`_repo_root` (``base``), so the same tree
+    lints the same from any working directory.
     """
     try:
-        return str(Path(path_str).resolve())
+        return str(((base or Path.cwd()) / path_str).resolve())
     except OSError:  # pragma: no cover
         return path_str
 
 
+def _entry_path(entry: Dict[str, object]) -> str:
+    """The canonical path of a baseline entry, anchored at the repo root."""
+    return _canonical(str(entry["path"]), _repo_root())
+
+
 def _repo_relative(path_str: str) -> str:
-    """The committable form of a finding path (relative to cwd if under it)."""
+    """The committable form of a finding path (relative to the repo root if under it)."""
     try:
-        resolved = Path(path_str).resolve()
-        return resolved.relative_to(Path.cwd()).as_posix()
-    except (OSError, ValueError):
+        return Path(_canonical(path_str)).relative_to(_repo_root()).as_posix()
+    except ValueError:
         return path_str
 
 
@@ -163,7 +173,7 @@ def apply_baseline(
 
     pool: Dict[Tuple[str, str, str], List[Dict[str, object]]] = {}
     for entry in entries:
-        entry_path = _canonical(str(entry["path"]))
+        entry_path = _entry_path(entry)
         if scope is not None and entry_path not in scope:
             continue
         key = (str(entry["rule"]), entry_path, str(entry["message"]))
@@ -218,11 +228,7 @@ def update_baseline(
     if path.exists():
         old_entries, _ = load_baseline(path)
         for entry in old_entries:
-            key = (
-                str(entry["rule"]),
-                _canonical(str(entry["path"])),
-                str(entry["message"]),
-            )
+            key = (str(entry["rule"]), _entry_path(entry), str(entry["message"]))
             carried.setdefault(key, []).append(str(entry["justification"]))
 
     entries: List[Dict[str, object]] = []

@@ -47,7 +47,23 @@ __all__ = [
     "BatchCPAResult",
     "batch_rotation_correlations",
     "fold_by_phase",
+    "row_dot",
 ]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """Dot product of two equal-length 1-D vectors, without BLAS.
+
+    Every sum of squares and dot product on the CPA path goes through this
+    one primitive.  The elementwise product is exact IEEE arithmetic and
+    ``np.add.reduce`` sums a contiguous vector pairwise in a fixed order, so
+    the result depends only on the two vectors: not on the BLAS build, its
+    thread count or the CPU kernel it picks (a BLAS ``ddot`` splits long
+    vectors by thread count and kernel), and not on the matrix a row was
+    sliced from.  A 2-D ``axis=1`` reduction or ``einsum`` would round
+    differently with the batch shape.
+    """
+    return np.add.reduce(a * b)
 
 
 def fold_by_phase(
@@ -177,13 +193,12 @@ def batch_rotation_correlations(
     # Per-row totals: folded already holds every cycle's contribution, so the
     # row sum falls out of the fold without another pass over the matrix.
     sum_y = folded.sum(axis=1)
-    # Row-wise dot products: einsum's buffered reduction rounds differently
-    # depending on the total matrix size, which would break the bit-identity
-    # between a batch of N and N batches of one; per-row BLAS dots do not.
+    # Per-row sums of squares through row_dot: a batch of N rounds exactly
+    # like N batches of one, on any BLAS build, thread count or CPU kernel.
     sum_yy = np.empty(trials, dtype=np.float64)
-    # repro-lint: allow[HOT001] per-row BLAS dots pin batch-size-independent rounding (see comment above); O(trials), not per-cycle
+    # repro-lint: allow[HOT001] one row_dot per trial keeps rounding independent of batch size and host (see row_dot); O(trials), not per-cycle
     for t in range(trials):
-        sum_yy[t] = matrix[t] @ matrix[t]
+        sum_yy[t] = row_dot(matrix[t], matrix[t])
     var_y = num_cycles * sum_yy - sum_y * sum_y
 
     # For rotation r the tiled model at cycle i is x[(i + r) mod period]:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import DetectionConfig
-from repro.detection.batch import BatchCPADetector, batch_rotation_correlations
+from repro.detection.batch import BatchCPADetector, batch_rotation_correlations, row_dot
 
 
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -48,9 +48,9 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("vectors must be non-empty")
     sum_x = x.sum()
     sum_y = y.sum()
-    sum_xy = float(x @ y)
-    sum_xx = float(x @ x)
-    sum_yy = float(y @ y)
+    sum_xy = float(row_dot(x, y))
+    sum_xx = float(row_dot(x, x))
+    sum_yy = float(row_dot(y, y))
     var_x = n * sum_xx - sum_x * sum_x
     var_y = n * sum_yy - sum_y * sum_y
     if var_x <= 0 or var_y <= 0:

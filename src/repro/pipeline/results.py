@@ -230,7 +230,7 @@ class Fig6ChipResult:
     @property
     def peak_separated(self) -> bool:
         """Whether the peak box is separated from the off-peak distribution."""
-        return self.statistics.separation() > 0
+        return self.peak_box.whisker_low - self.off_peak_box.whisker_high > 0
 
 
 @dataclass

@@ -10,7 +10,10 @@ against the captured output bit for bit.
 The campaign scenarios (detection probability, noise and starvation
 masking) are captured from their registry specs at ``--quick`` scale.
 
-Usage:  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/capture_pipeline_golden.py
+The CPA path makes no BLAS call, so the digests do not depend on the BLAS
+thread count or CPU kernel (``tests/test_detection_host_independence.py``).
+
+Usage:  PYTHONPATH=src python tests/data/capture_pipeline_golden.py
 """
 
 from __future__ import annotations

@@ -768,6 +768,18 @@ class TestSrcTreeSelfCheck:
         problems = unsuppressed(findings)
         assert problems == [], render_text(findings, files_checked)
 
+    def test_src_is_clean_from_any_working_directory(self, tmp_path, monkeypatch, capsys):
+        # Baseline entries are repo-relative and anchored at the checkout,
+        # not the cwd: linting src/ by absolute path from elsewhere gates
+        # exactly as from the repo root.
+        from repro.analysis.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        exit_code = main([str(SRC), "--format=json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["violations"] == 0, report["summary"]
+        assert exit_code == 0
+
     def test_every_suppression_carries_a_reason(self):
         findings, _ = self._gated_findings()
         suppressed = [f for f in findings if f.suppressed]

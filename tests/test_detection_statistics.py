@@ -68,6 +68,36 @@ class TestBoxPlotStats:
         with pytest.raises(ValueError):
             BoxPlotStats.from_samples([])
 
+    @staticmethod
+    def _reference(samples):
+        """The per-percentile, per-element formula the vectorized one replaced."""
+        values = np.asarray(list(samples), dtype=np.float64)
+        whisker_low, whisker_high = np.percentile(values, [2.5, 97.5])
+        return BoxPlotStats(
+            median=float(np.median(values)),
+            q1=float(np.percentile(values, 25)),
+            q3=float(np.percentile(values, 75)),
+            whisker_low=float(whisker_low),
+            whisker_high=float(whisker_high),
+            outliers=tuple(
+                float(v) for v in values if v < whisker_low or v > whisker_high
+            ),
+        )
+
+    # 409,500 = 100 runs x 4,095 off-peak rotations: the Fig. 6 off-peak box.
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 409_500])
+    def test_bit_identical_to_reference_formula(self, size):
+        rng = np.random.default_rng(size)
+        samples = rng.normal(0.0, 0.006, size)
+        samples[::5] = np.round(samples[::5], 3)  # ties at the percentiles
+        fast = BoxPlotStats.from_samples(samples)
+        reference = self._reference(samples)
+        for name in ("median", "q1", "q3", "whisker_low", "whisker_high"):
+            assert getattr(fast, name).hex() == getattr(reference, name).hex(), name
+        # Same outliers, in sample order, as plain Python floats.
+        assert fast.outliers == reference.outliers
+        assert all(type(v) is float for v in fast.outliers)
+
 
 class TestRepetitionStatistics:
     def test_peak_rotation_identified(self):
